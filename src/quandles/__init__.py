@@ -68,7 +68,6 @@ from .decomposition import (
     depth,
     iterate_refinement,
     maximal_decomposition,
-    refine_once,
 )
 from .mcq import (
     MCQ,

@@ -65,8 +65,6 @@ def _add_common_flags(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--unchecked", action="store_true",
                      help="skip axiom validation when loading files")
-    sub.add_argument("--max-iter", type=int, default=None,
-                     help="cap on refinement rounds (env QUANDLES_MAX_ITER)")
 
 
 def _load_json(path):
@@ -160,7 +158,7 @@ def _cmd_components(args):
 def _cmd_maxdecomp(args):
     obj = _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
-        dec = maximal_mcq_decomposition(obj, args.max_iter)
+        dec = maximal_mcq_decomposition(obj)
         payload = dec.to_json()
 
         def text():
@@ -172,7 +170,7 @@ def _cmd_maxdecomp(args):
 
         _emit(args, payload, text)
         return EXIT_OK
-    dec = maximal_decomposition(obj, args.max_iter)
+    dec = maximal_decomposition(obj)
 
     def text():
         lines = [f"depth: {dec.depth}"]

@@ -11,18 +11,10 @@ conjugation quandle layer reuses it for partitions of its group index set.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .quandle import FiniteQuandle, Partition, connected_components
-
-DEFAULT_MAX_ITER = 64
-
-
-def _max_iter_default() -> int:
-    value = os.environ.get("QUANDLES_MAX_ITER")
-    return int(value) if value else DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -47,49 +39,30 @@ class Decomposition:
 
 
 def iterate_refinement(start: Partition,
-                       refine_block: Callable[[tuple[int, ...]], Iterable[Iterable[int]]],
-                       max_iter: int | None = None) -> Decomposition:
+                       refine_block: Callable[[tuple[int, ...]], Iterable[Iterable[int]]]
+                       ) -> Decomposition:
     """Iterate block-wise refinement from `start` until a fixed point.
 
     `refine_block` must return a partition of its block; blocks refine
-    independently, so processing order cannot affect the result.  The cap
-    guards against structures fed in from outside that do not actually
-    stabilize; genuinely finite inputs stop well before size(X) rounds.
+    independently, so processing order cannot affect the result.  Each round
+    either leaves every block whole or splits some block into strictly
+    smaller pieces, so the fixed point comes within (largest block size + 1)
+    rounds.
     """
-    if max_iter is None:
-        max_iter = _max_iter_default()
     levels = [start]
-    for _ in range(max_iter):
-        refined = Partition(
+    while len(levels) < 2 or levels[-1] != levels[-2]:
+        levels.append(Partition(
             tuple(piece) for block in levels[-1].blocks for piece in refine_block(block)
-        )
-        levels.append(refined)
-        if refined == levels[-2]:
-            return Decomposition(tuple(levels), len(levels) - 2, refined)
-    raise RuntimeError(f"no fixed point within {max_iter} refinement rounds")
+        ))
+    return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
 
 
-def refine_once(q: FiniteQuandle, partition: Partition) -> Partition:
-    """Split every block of the partition into its own connected components.
-
-    Each block must be a subquandle (connected_components raises
-    NotASubquandle otherwise).
-    """
-    return Partition(
-        tuple(piece)
-        for block in partition.blocks
-        for piece in connected_components(q, block).blocks
-    )
-
-
-def maximal_decomposition(q: FiniteQuandle, max_iter: int | None = None) -> Decomposition:
+def maximal_decomposition(q: FiniteQuandle) -> Decomposition:
     """The maximal connected subquandle decomposition, with the full tower."""
     start = Partition([range(q.size)])
-    return iterate_refinement(
-        start, lambda block: connected_components(q, block).blocks, max_iter
-    )
+    return iterate_refinement(start, lambda block: connected_components(q, block).blocks)
 
 
-def depth(q: FiniteQuandle, max_iter: int | None = None) -> int:
+def depth(q: FiniteQuandle) -> int:
     """Rounds of refinement needed to stabilize; 0 exactly when connected."""
-    return maximal_decomposition(q, max_iter).depth
+    return maximal_decomposition(q).depth

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, cyclic_group
-from .quandle import FiniteQuandle, InvalidTable, Partition, type_of
+from .quandle import FiniteQuandle, InvalidTable, Partition, closure, orbits, type_of
 
 
 @dataclass(frozen=True)
@@ -197,39 +197,17 @@ def associated_mcq(q: FiniteQuandle) -> MCQ:
 def lambda_orbits(x: MCQ, lambda_subset: Iterable[int] | None = None) -> Partition:
     """Orbits of the group index set under right translations of identities.
 
+    The translation by a sends each identity e_lam into one group, so it
+    moves lam to the index of e_lam * a, permuting the finite index set.
     With a subset given, only translations by elements of that subset's
-    groups are used, and the moves must stay inside the subset (they always
-    do for orbit blocks arising from the refinement).
+    groups are used, and the moves must stay inside the subset
+    (NotASubquandle otherwise); orbit blocks arising from the refinement
+    always do.
     """
-    if lambda_subset is None:
-        lams = list(range(x.group_count))
-    else:
-        lams = sorted(set(lambda_subset))
-        if not lams:
-            raise ValueError("index subset must be non-empty")
-    lamset = set(lams)
+    lams = range(x.group_count) if lambda_subset is None else sorted(set(lambda_subset))
     gens = [a for lam in lams for a in x.group_range(lam)]
-    blocks = []
-    unseen = set(lams)
-    for seed in lams:
-        if seed not in unseen:
-            continue
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            lam = frontier.pop()
-            e = x.identity_of(lam)
-            for a in gens:
-                for image in (x.star(e, a), x.star_inv(e, a)):
-                    mu = x.group_of[image]
-                    if mu not in lamset:
-                        raise ValueError("index subset is not closed under the inner action")
-                    if mu not in block:
-                        block.add(mu)
-                        frontier.append(mu)
-        unseen -= block
-        blocks.append(block)
-    return Partition(blocks)
+    return orbits(lams, lambda lam: map(
+        x.group_of.__getitem__, map(x.op[x.identity_of(lam)].__getitem__, gens)))
 
 
 @dataclass(frozen=True)
@@ -292,32 +270,18 @@ def is_sub_mcq(x: MCQ, subset: Iterable[int]) -> SubMcqReport:
 
 def generated_sub_mcq(x: MCQ, seeds: Iterable[int]) -> frozenset[int]:
     """Least subset containing the seeds closed under *, its inverse, and the
-    group operations inside each constituent group."""
-    members = sorted(set(seeds))
-    if not members:
-        raise ValueError("generating set must be non-empty")
-    memberset = set(members)
+    group operations inside each constituent group.
 
-    def push(y):
-        if y not in memberset:
-            memberset.add(y)
-            members.append(y)
+    Closure under * and the group products suffices: in a finite group the
+    powers of a hold its inverse, and x * a^-1 undoes x * a.
+    """
+    def products(a, b):
+        pair = (x.op[a][b], x.op[b][a])
+        if x.group_of[a] != x.group_of[b]:
+            return pair
+        return pair + (x.gmul(a, b), x.gmul(b, a))
 
-    i = 0
-    while i < len(members):
-        a = members[i]
-        push(x.ginv(a))
-        for j in range(i + 1):
-            b = members[j]
-            push(x.op[a][b])
-            push(x.op[b][a])
-            push(x.star_inv(a, b))
-            push(x.star_inv(b, a))
-            if x.group_of[a] == x.group_of[b]:
-                push(x.gmul(a, b))
-                push(x.gmul(b, a))
-        i += 1
-    return frozenset(memberset)
+    return closure(seeds, products)
 
 
 @dataclass(frozen=True)
@@ -338,7 +302,7 @@ class McqDecomposition:
         return cls(Decomposition.from_json(data), Partition.from_json(data["carrier_blocks"]))
 
 
-def maximal_mcq_decomposition(x: MCQ, max_iter: int | None = None) -> McqDecomposition:
+def maximal_mcq_decomposition(x: MCQ) -> McqDecomposition:
     """Iterate index-set orbit refinement to its fixed point.
 
     Fixed-point blocks expand to unions of whole groups: the carrier blocks
@@ -346,9 +310,7 @@ def maximal_mcq_decomposition(x: MCQ, max_iter: int | None = None) -> McqDecompo
     the fixed point.
     """
     start = Partition([range(x.group_count)])
-    tree = iterate_refinement(
-        start, lambda block: lambda_orbits(x, block).blocks, max_iter
-    )
+    tree = iterate_refinement(start, lambda block: lambda_orbits(x, block).blocks)
     carrier = Partition(
         [i for lam in block for i in x.group_range(lam)] for block in tree.final.blocks
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,11 @@ class InvalidTable(ValueError):
 
 
 class NotASubquandle(ValueError):
-    """The given subset is not closed under the operation and its inverse."""
+    """The given subset is not closed under the operation.
+
+    A finite subset closed under * is closed under its inverse too, because
+    each right translation then permutes the subset.
+    """
 
 
 class Partition:
@@ -95,11 +99,11 @@ class Partition:
 class FiniteQuandle:
     """A quandle on {0, ..., size-1} given by its table: table[a][b] == a * b.
 
-    The inverse table is derived by inverting each column; it is only
-    meaningful when the table actually satisfies the quandle axioms.
+    Each column x -> x * b permutes a finite set, so the inverse operation
+    is one of its powers (see op_pow).
     """
 
-    __slots__ = ("size", "table", "inv_table", "labels")
+    __slots__ = ("size", "table", "labels")
 
     def __init__(self, table, labels=None):
         rows = tuple(tuple(row) for row in table)
@@ -112,13 +116,8 @@ class FiniteQuandle:
             for x in row:
                 if not 0 <= x < n:
                     raise ValueError("table entries must index elements")
-        inv = [[0] * n for _ in range(n)]
-        for b in range(n):
-            for a in range(n):
-                inv[rows[a][b]][b] = a
         self.size = n
         self.table = rows
-        self.inv_table = tuple(tuple(row) for row in inv)
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must match the table size")
@@ -134,9 +133,6 @@ class FiniteQuandle:
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv_op(self, a: int, b: int) -> int:
-        return self.inv_table[a][b]
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
@@ -245,18 +241,56 @@ def type_of(q: FiniteQuandle) -> int:
     return result
 
 
-def generated_subquandle(q: FiniteQuandle, seeds: Iterable[int]) -> frozenset[int]:
-    """Least subset containing the seeds and closed under * and its inverse."""
+def orbits(domain: Iterable[int], moves: Callable[[int], Iterable[int]]) -> Partition:
+    """Orbits of a finite domain under maps that each permute it.
+
+    `moves(x)` gives the image of x under every map.  Only these forward
+    images are followed: a permutation of a finite set has its inverse among
+    its powers, so the forward closure of a point is its whole orbit.  An
+    image outside the domain raises NotASubquandle; two overlapping forward
+    closures prove that some map is not a bijection and raise InvalidTable.
+    """
+    members = sorted(set(domain))
+    if not members:
+        raise ValueError("the domain must be non-empty")
+    inside = set(members)
+    seen = set()
+    blocks = []
+    for seed in members:
+        if seed in seen:
+            continue
+        block = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            images = set(moves(x))
+            if not images <= inside:
+                raise NotASubquandle(f"a move of {x} leaves the subset")
+            fresh = images - block
+            block |= fresh
+            frontier.extend(fresh)
+        if not seen.isdisjoint(block):
+            raise InvalidTable("right translations are not bijections")
+        seen |= block
+        blocks.append(block)
+    return Partition(blocks)
+
+
+def closure(seeds: Iterable[int], products: Callable[[int, int], Iterable[int]]) -> frozenset[int]:
+    """Least set that holds the seeds and products(a, b) for all members a, b.
+
+    `products` is called once per unordered pair of members (a == b
+    included), so it must give the products of both orders.
+    """
     members = sorted(set(seeds))
     if not members:
         raise ValueError("generating set must be non-empty")
     memberset = set(members)
     i = 0
     while i < len(members):
-        x = members[i]
-        for j in range(i + 1):
-            a = members[j]
-            for y in (q.table[x][a], q.inv_table[x][a], q.table[a][x], q.inv_table[a][x]):
+        a = members[i]
+        for b in members[:i + 1]:
+            for y in products(a, b):
                 if y not in memberset:
                     memberset.add(y)
                     members.append(y)
@@ -264,45 +298,26 @@ def generated_subquandle(q: FiniteQuandle, seeds: Iterable[int]) -> frozenset[in
     return frozenset(memberset)
 
 
-def _check_closed(q: FiniteQuandle, amb, ambset):
-    for x in amb:
-        for a in amb:
-            if q.table[x][a] not in ambset or q.inv_table[x][a] not in ambset:
-                raise NotASubquandle(f"{x} * {a} (or its inverse) leaves the subset")
+def generated_subquandle(q: FiniteQuandle, seeds: Iterable[int]) -> frozenset[int]:
+    """Least subset containing the seeds and closed under * and its inverse.
+
+    Closure under * suffices: x *^-1 a is a power x *^k a (see op_pow).
+    """
+    t = q.table
+    return closure(seeds, lambda a, b: (t[a][b], t[b][a]))
 
 
 def connected_components(q: FiniteQuandle, ambient: Iterable[int] | None = None) -> Partition:
     """Orbits of the ambient set under the right translations by its members.
 
-    The ambient set must be closed under * and its inverse; orbits are found
-    by breadth-first closure under x -> x * a and x -> x *^-1 a.
+    The ambient set must be closed under * (NotASubquandle otherwise); the
+    orbit of x is reached through the products x * a, a row of the table
+    restricted to the ambient set.
     """
     if ambient is None:
-        amb = list(range(q.size))
-        ambset = set(amb)
-    else:
-        amb = sorted(set(ambient))
-        if not amb:
-            raise ValueError("ambient set must be non-empty")
-        ambset = set(amb)
-        _check_closed(q, amb, ambset)
-    blocks = []
-    unseen = set(amb)
-    for seed in amb:
-        if seed not in unseen:
-            continue
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for a in amb:
-                for y in (q.table[x][a], q.inv_table[x][a]):
-                    if y not in block:
-                        block.add(y)
-                        frontier.append(y)
-        unseen -= block
-        blocks.append(block)
-    return Partition(blocks)
+        return orbits(range(q.size), q.table.__getitem__)
+    amb = sorted(set(ambient))
+    return orbits(amb, lambda x: map(q.table[x].__getitem__, amb))
 
 
 def is_connected(q: FiniteQuandle, ambient: Iterable[int] | None = None) -> bool:
@@ -315,9 +330,10 @@ def subquandle(q: FiniteQuandle, elements: Iterable[int]) -> FiniteQuandle:
     if not elems:
         raise ValueError("subquandle must be non-empty")
     index = {x: i for i, x in enumerate(elems)}
-    elemset = set(elems)
-    _check_closed(q, elems, elemset)
-    table = [[index[q.table[x][y]] for y in elems] for x in elems]
+    try:
+        table = [[index[q.table[x][y]] for y in elems] for x in elems]
+    except KeyError as exc:
+        raise NotASubquandle(f"the product {exc.args[0]} leaves the subset") from None
     labels = [q.labels[x] for x in elems] if q.labels is not None else None
     return FiniteQuandle(table, labels)
 

@@ -147,6 +147,14 @@ class TestTableLoading:
         code, _, _ = run(capsys, "components", "--table", str(path), "--unchecked")
         assert code == 0
 
+    def test_unchecked_components_refuse_non_bijective_columns(self, capsys, tmp_path):
+        # 0 * 0 == 1 * 0: the forward orbits of 0 and 1 overlap
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"size": 2, "table": [[0, 0], [0, 1]]}))
+        code, out, err = run(capsys, "components", "--table", str(path), "--unchecked")
+        assert code == 3 and out == ""
+        assert "not bijections" in err
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_output(self, capsys):

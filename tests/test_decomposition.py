@@ -1,10 +1,7 @@
 import random
 
-import pytest
-
 from quandles import (
     Decomposition,
-    NotASubquandle,
     Partition,
     alexander_quandle,
     build,
@@ -15,30 +12,22 @@ from quandles import (
     is_connected,
     maximal_decomposition,
     parse_ideal,
-    refine_once,
     trivial_quandle,
 )
 
 
 class TestRefineOnce:
+    # one refinement round takes levels[k] to levels[k + 1]
     def test_connected_fixed(self):
         q = dihedral(5).quandle
         whole = Partition([range(5)])
-        assert refine_once(q, whole) == whole
+        assert maximal_decomposition(q).levels[1] == whole
 
     def test_conj_s3_first_step(self, conj_s3):
-        whole = Partition([range(conj_s3.size)])
-        assert refine_once(conj_s3, whole).sizes() == (1, 2, 3)
+        assert maximal_decomposition(conj_s3).levels[1].sizes() == (1, 2, 3)
 
     def test_conj_s3_second_step_splits_three_cycles(self, conj_s3):
-        first = refine_once(conj_s3, Partition([range(conj_s3.size)]))
-        second = refine_once(conj_s3, first)
-        assert second.sizes() == (1, 1, 1, 3)
-
-    def test_requires_subquandle_blocks(self):
-        q = dihedral(5).quandle
-        with pytest.raises(NotASubquandle):
-            refine_once(q, Partition([[0, 1], [2, 3, 4]]))
+        assert maximal_decomposition(conj_s3).levels[2].sizes() == (1, 1, 1, 3)
 
 
 class TestMaximalDecomposition:
@@ -62,17 +51,6 @@ class TestMaximalDecomposition:
         assert depth(dihedral(3).quandle) == 0
         assert depth(dihedral(6).quandle) == 1
         assert depth(dihedral(12).quandle) == 2
-
-    def test_max_iter_guard(self):
-        with pytest.raises(RuntimeError):
-            maximal_decomposition(dihedral(12).quandle, max_iter=1)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("QUANDLES_MAX_ITER", "1")
-        with pytest.raises(RuntimeError):
-            maximal_decomposition(dihedral(12).quandle)
-        monkeypatch.setenv("QUANDLES_MAX_ITER", "64")
-        assert maximal_decomposition(dihedral(12).quandle).depth == 2
 
 
 class TestInvariants:
@@ -106,8 +84,7 @@ class TestInvariants:
         # refine over shuffled block orders and compare the canonical result
         rng = random.Random(30)
         dec = maximal_decomposition(conj_s4)
-        for level in dec.levels[:-1]:
-            reference = refine_once(conj_s4, level)
+        for level, reference in zip(dec.levels, dec.levels[1:]):
             for _ in range(5):
                 blocks = [list(b) for b in level.blocks]
                 rng.shuffle(blocks)

@@ -5,6 +5,7 @@ import pytest
 from quandles import (
     MCQ,
     InvalidTable,
+    NotASubquandle,
     Partition,
     associated_mcq,
     check_mcq_axioms,
@@ -130,6 +131,13 @@ class TestLambdaOrbits:
                 tetrahedral.quandle, conj_s3]:
             assert lambda_orbits(associated_mcq(q)) == connected_components(q)
 
+    def test_non_closed_index_subset(self):
+        # in R6 the identity of group 0 moved by group 1 lands in group 2
+        x = associated_mcq(dihedral(6).quandle)
+        with pytest.raises(NotASubquandle):
+            lambda_orbits(x, [0, 1])
+        assert lambda_orbits(x, [0, 2, 4]).blocks == ((0, 2, 4),)
+
 
 class TestSubMcq:
     def test_identity_singleton(self):
@@ -180,6 +188,15 @@ class TestGeneratedSubMcq:
         x = associated_mcq(dihedral(3).quandle)
         a, b = 0 * 2 + 1, 1 * 2 + 1
         assert generated_sub_mcq(x, [a, b]) == set(range(6))
+
+    def test_closed_under_inverses(self, conj_s3, tetrahedral):
+        rng = random.Random(34)
+        for x in (associated_mcq(dihedral(6).quandle), associated_mcq(tetrahedral.quandle),
+                  associated_mcq(conj_s3), conjugation_mcq(symmetric_group(4))):
+            for _ in range(20):
+                sub = generated_sub_mcq(x, rng.sample(range(x.size), rng.randint(1, 3)))
+                assert all(x.ginv(a) in sub for a in sub)
+                assert all(x.star_inv(a, b) in sub for a in sub for b in sub)
 
     def test_closure_is_sub_mcq_and_reachable(self, conj_s3):
         rng = random.Random(32)

@@ -11,6 +11,7 @@ from quandles import (
     build,
     check_axioms,
     column_cycle_type,
+    conj_quandle,
     connected_components,
     dihedral,
     find_isomorphism,
@@ -19,6 +20,7 @@ from quandles import (
     op_pow,
     parse_ideal,
     subquandle,
+    symmetric_group,
     trivial_quandle,
     type_of,
 )
@@ -26,6 +28,42 @@ from quandles import (
 
 def label_index(q, name):
     return q.labels.index(name)
+
+
+def forward_only_pool():
+    """A seeded pool; its Alexander and conjugation members have column
+    cycles longer than 2, where x *^-1 a differs from x * a."""
+    rng = random.Random(41)
+    pool = [dihedral(m).quandle for m in (1, 2, 6, 12, 15)]
+    for _ in range(6):
+        n = rng.randint(2, 16)
+        pool.append(alexander_quandle(build(parse_ideal(f"{n}; t+{rng.randrange(n)}"))).quandle)
+    for _ in range(3):
+        n = rng.randint(2, 6)
+        ideal = f"{n}; t^2+{rng.randrange(n)}t+1"
+        pool.append(alexander_quandle(build(parse_ideal(ideal))).quandle)
+    pool += [conj_quandle(symmetric_group(3)), conj_quandle(symmetric_group(4)),
+             trivial_quandle(4)]
+    return pool
+
+
+def two_way_components(q, ambient):
+    """Reference orbits under both x -> x * a and x -> x *^-1 a."""
+    blocks, seen = [], set()
+    for seed in ambient:
+        if seed in seen:
+            continue
+        block, frontier = {seed}, [seed]
+        while frontier:
+            x = frontier.pop()
+            for a in ambient:
+                for y in (q.table[x][a], op_pow(q, x, -1, a)):
+                    if y not in block:
+                        block.add(y)
+                        frontier.append(y)
+        seen |= block
+        blocks.append(block)
+    return Partition(blocks)
 
 
 class TestPartition:
@@ -149,6 +187,13 @@ class TestGenerated:
         a = label_index(conj_s3, "(1 2 3)")
         assert generated_subquandle(conj_s3, [a]) == {a}
 
+    def test_closed_under_the_inverse_operation(self):
+        rng = random.Random(42)
+        for q in forward_only_pool():
+            for _ in range(10):
+                sub = generated_subquandle(q, rng.sample(range(q.size), min(q.size, 2)))
+                assert all(op_pow(q, x, -1, a) in sub for x in sub for a in sub)
+
 
 class TestComponents:
     def test_conj_s3_sizes(self, conj_s3):
@@ -170,6 +215,15 @@ class TestComponents:
         q = dihedral(5).quandle
         with pytest.raises(NotASubquandle):
             connected_components(q, [0, 1])
+        with pytest.raises(NotASubquandle):
+            subquandle(q, [0, 1])
+
+    def test_forward_orbits_match_two_way_orbits(self):
+        for q in forward_only_pool():
+            whole = connected_components(q)
+            assert whole == two_way_components(q, range(q.size))
+            for block in whole.blocks:
+                assert connected_components(q, block) == two_way_components(q, block)
 
     def test_blocks_are_closed(self, conj_s4):
         for block in connected_components(conj_s4).blocks:
