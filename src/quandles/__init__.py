@@ -34,6 +34,7 @@ from .quandle import (
     NotASubquandle,
     Partition,
     check_axioms,
+    check_columns,
     column_cycle_type,
     connected_components,
     find_isomorphism,
@@ -56,9 +57,11 @@ from .alexander import (
     AlexanderQuandle,
     ComponentIdeal,
     GcdChain,
+    alexander_decomposition,
     alexander_quandle,
     component_ideal,
     dihedral,
+    dihedral_presentation,
     gcd_chain,
     orbit_count,
     translation_iso,

@@ -5,6 +5,11 @@ The quandle operation on a module is a * b = t a + (1 - t) b.  Its component
 count is the gcd of the generators evaluated at 1 (together with the
 modulus), components are translates of the image of 1 - t, and each is again
 an Alexander quandle over an explicitly presented quotient.
+
+Iterating that last fact gives the whole maximal decomposition without a
+table: level k is the set of cosets of (1 - t)^k M, and the depth is the
+first k with (1 - t)^k M = (1 - t)^(k+1) M (alexander_decomposition).  The
+gcd chain of (n0; t + a) is the rank-1 case of this tower.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .decomposition import Decomposition
 from .laurent import LaurentPoly, eval_one, format_poly, gcd_vec, split_one_minus_t, syzygy_basis
-from .quandle import FiniteQuandle, connected_components
+from .quandle import FiniteQuandle, Partition, connected_components
 from .tmodule import FiniteTModule, IdealPresentation, build
 
 
@@ -45,12 +51,54 @@ def alexander_quandle(module: FiniteTModule) -> AlexanderQuandle:
     return AlexanderQuandle(module, FiniteQuandle(table, labels), module.presentation)
 
 
+def alexander_decomposition(module: FiniteTModule) -> Decomposition:
+    """The maximal connected decomposition of the Alexander quandle of a
+    module, computed from the module instead of its table.
+
+    Level k is the partition into cosets x + I_k of I_0 = M,
+    I_{k+1} = (1 - t) I_k, and the tower stops at the first k with
+    I_k = I_{k+1}.  Indices are positions in module.elements(), as in
+    alexander_quandle, so the result equals maximal_decomposition of that
+    table.  The cost is O(order * (depth + 2)) module operations.
+    """
+    elems = module.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    add = module.add
+    one_minus_t = [index[add(e, module.neg(module.t_act(e)))] for e in elems]
+    whole = range(len(elems))
+    image = whole
+    levels = [Partition([whole])]
+    while True:
+        # I_{k+1} lies inside I_k, so equal sizes mean equal subgroups
+        smaller = {one_minus_t[i] for i in image}
+        if len(smaller) == len(image):
+            break
+        image = smaller
+        sub = [elems[h] for h in image]
+        seen = [False] * len(elems)
+        blocks = []
+        for x in whole:
+            if not seen[x]:
+                block = [index[add(elems[x], h)] for h in sub]
+                for y in block:
+                    seen[y] = True
+                blocks.append(block)
+        levels.append(Partition(blocks))
+    levels.append(levels[-1])
+    return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
+
+
+def dihedral_presentation(m: int) -> IdealPresentation:
+    """The ideal (m, t + 1), whose quotient carries the dihedral quandle on Z_m."""
+    if m < 1:
+        raise ValueError("order must be positive")
+    return IdealPresentation(m, (LaurentPoly({0: 1, 1: 1}),))
+
+
 def dihedral(m: int) -> AlexanderQuandle:
     """The dihedral quandle on Z_m (a * b = 2b - a), built as the quotient by
     (m, t + 1)."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    return alexander_quandle(build(IdealPresentation(m, (LaurentPoly({0: 1, 1: 1}),))))
+    return alexander_quandle(build(dihedral_presentation(m)))
 
 
 def orbit_count(gens: Iterable[LaurentPoly], modulus: int | None = None) -> int:

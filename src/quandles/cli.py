@@ -12,12 +12,14 @@ import argparse
 import json
 import sys
 
-from .alexander import alexander_quandle, component_ideal, dihedral, gcd_chain, orbit_count
+from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
+                        dihedral_presentation, gcd_chain)
 from .decomposition import maximal_decomposition
 from .group import FiniteGroup, conj_quandle, cyclic_group, symmetric_group
 from .laurent import ParseError, format_poly, parse_poly
 from .mcq import MCQ, associated_mcq, check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition
-from .quandle import FiniteQuandle, InvalidTable, check_axioms, connected_components, find_isomorphism
+from .quandle import (FiniteQuandle, InvalidTable, check_axioms, check_columns,
+                      connected_components, find_isomorphism)
 from .tmodule import UnsupportedPresentation, build, parse_ideal
 from .verify import DEFAULT_SEED, run_checks
 
@@ -78,7 +80,14 @@ def _resolve_one(kind, value, args):
     if kind == "dihedral":
         return dihedral(int(value)).quandle
     if kind == "table":
-        return FiniteQuandle.from_json(_load_json(value), check=not args.unchecked)
+        q = FiniteQuandle.from_json(_load_json(value), check=not args.unchecked)
+        # only `axioms` may go on with broken columns: it reports the violation
+        if args.unchecked and args.verb != "axioms":
+            bad = check_columns(q)
+            if bad is not None:
+                raise InvalidTable("right translations are not bijections "
+                                   f"({bad.axiom} fails at {bad.witness})")
+        return q
     if kind == "symmetric":
         return symmetric_group(int(value))
     if kind == "cyclic":
@@ -108,6 +117,20 @@ def _resolve_sources(args, count=1):
     return out
 
 
+def _alexander_module(args):
+    """The module of a lone --alexander or --dihedral source without --assoc,
+    whose decomposition needs no table; None for every other source."""
+    sources = getattr(args, "sources", None) or ()
+    if len(sources) != 1 or args.assoc:
+        return None
+    kind, value = sources[0]
+    if kind == "alexander":
+        return build(parse_ideal(value))
+    if kind == "dihedral":
+        return build(dihedral_presentation(int(value)))
+    return None
+
+
 class SystemExit2(Exception):
     def __init__(self, message, code):
         super().__init__(message)
@@ -121,10 +144,17 @@ def _emit(args, payload, text_fn):
         print(text_fn())
 
 
-def _blocks_text(obj, blocks, header):
+def _labeler(module, obj):
+    """Element labels of the module's Alexander quandle, or of the quandle
+    `obj` when there is no module.  Called for text output only, since
+    listing a module's labels costs O(order)."""
+    return module.labels().__getitem__ if module is not None else obj.label
+
+
+def _blocks_text(label, blocks, header):
     lines = [header]
     for block in blocks:
-        lines.append("  {" + ", ".join(obj.label(i) for i in block) + "}")
+        lines.append("  {" + ", ".join(label(i) for i in block) + "}")
     return "\n".join(lines)
 
 
@@ -140,23 +170,26 @@ def _cmd_axioms(args):
 
 
 def _cmd_components(args):
-    obj = _resolve_sources(args)[0]
+    module = _alexander_module(args)
+    obj = None if module is not None else _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
         part = lambda_orbits(obj)
-        labeler = lambda i: str(i)
         header = f"{len(part)} index orbit(s):"
-        text = lambda: "\n".join(
-            [header] + ["  {" + ", ".join(labeler(i) for i in b) + "}" for b in part.blocks])
+        _emit(args, {"blocks": part.to_json()}, lambda: _blocks_text(str, part.blocks, header))
+        return EXIT_OK
+    if module is not None:
+        part = alexander_decomposition(module).levels[1]
     else:
         part = connected_components(obj)
-        header = f"{len(part)} connected component(s), sizes {list(part.sizes())}:"
-        text = lambda: _blocks_text(obj, part.blocks, header)
-    _emit(args, {"blocks": part.to_json()}, text)
+    header = f"{len(part)} connected component(s), sizes {list(part.sizes())}:"
+    _emit(args, {"blocks": part.to_json()},
+          lambda: _blocks_text(_labeler(module, obj), part.blocks, header))
     return EXIT_OK
 
 
 def _cmd_maxdecomp(args):
-    obj = _resolve_sources(args)[0]
+    module = _alexander_module(args)
+    obj = None if module is not None else _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
         dec = maximal_mcq_decomposition(obj)
         payload = dec.to_json()
@@ -165,18 +198,21 @@ def _cmd_maxdecomp(args):
             lines = [f"depth: {dec.index_tree.depth}"]
             for k, level in enumerate(dec.index_tree.levels):
                 lines.append(f"level {k}: {len(level)} index block(s), sizes {list(level.sizes())}")
-            lines.append(_blocks_text(obj, dec.carrier_partition.blocks, "carrier blocks:"))
+            lines.append(_blocks_text(obj.label, dec.carrier_partition.blocks, "carrier blocks:"))
             return "\n".join(lines)
 
         _emit(args, payload, text)
         return EXIT_OK
-    dec = maximal_decomposition(obj)
+    if module is not None:
+        dec = alexander_decomposition(module)
+    else:
+        dec = maximal_decomposition(obj)
 
     def text():
         lines = [f"depth: {dec.depth}"]
         for k, level in enumerate(dec.levels):
             lines.append(f"level {k}: {len(level)} block(s), sizes {list(level.sizes())}")
-        lines.append(_blocks_text(obj, dec.final.blocks, "final blocks:"))
+        lines.append(_blocks_text(_labeler(module, obj), dec.final.blocks, "final blocks:"))
         return "\n".join(lines)
 
     _emit(args, dec.to_json(), text)

@@ -176,13 +176,9 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
     for a in range(n):
         if t[a][a] != a:
             return AxiomViolation("idempotency", (a,))
-    for b in range(n):
-        hit = [-1] * n
-        for a in range(n):
-            img = t[a][b]
-            if hit[img] != -1:
-                return AxiomViolation("right-invertibility", (hit[img], a, b))
-            hit[img] = a
+    bad = check_columns(q)
+    if bad is not None:
+        return bad
     for a in range(n):
         ta = t[a]
         for b in range(n):
@@ -192,6 +188,21 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
             for c in range(n):
                 if tab[c] != t[ta[c]][tb[c]]:
                     return AxiomViolation("self-distributivity", (a, b, c))
+    return None
+
+
+def check_columns(q: FiniteQuandle) -> Optional[AxiomViolation]:
+    """None when every column x -> x * b is a bijection; otherwise the first
+    collision (a, a2, b) with a < a2 and a * b == a2 * b, scanning b first."""
+    t = q.table
+    n = q.size
+    for b in range(n):
+        hit = [-1] * n
+        for a in range(n):
+            img = t[a][b]
+            if hit[img] != -1:
+                return AxiomViolation("right-invertibility", (hit[img], a, b))
+            hit[img] = a
     return None
 
 

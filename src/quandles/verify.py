@@ -9,11 +9,13 @@ seed and are shared with the test suite.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .alexander import alexander_quandle, component_ideal, dihedral, gcd_chain, orbit_count
+from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
+                        gcd_chain, orbit_count)
 from .group import conj_quandle, conjugacy_classes, cyclic_group, symmetric_group
 from .decomposition import maximal_decomposition
 from .laurent import ONE_MINUS_T, LaurentPoly, split_one_minus_t, syzygy_basis
@@ -184,11 +186,15 @@ def _linear_grid_rows() -> list[CheckRow]:
         for a in range(-10, 11):
             formula = gcd_chain(n0, a)
             pres = IdealPresentation(n0, (LaurentPoly({0: a, 1: 1}),))
-            aq = alexander_quandle(build(pres))
+            module = build(pres)
+            aq = alexander_quandle(module)
             dec = maximal_decomposition(aq.quandle)
             ref = alexander_quandle(
                 build(IdealPresentation(formula.block_modulus, (LaurentPoly({0: a, 1: 1}),)))
             ).quandle
+            # the chain as the rank-1 case of the (1 - t)^k tower; a block has
+            # block_modulus elements unless saturation shrinks it (a not a unit)
+            tower = alexander_decomposition(module)
             ok = (
                 len(dec.final) == formula.block_count
                 and dec.depth == formula.depth
@@ -196,11 +202,16 @@ def _linear_grid_rows() -> list[CheckRow]:
                     find_isomorphism(subquandle(aq.quandle, block), ref) is not None
                     for block in dec.final.blocks
                 )
+                and tower.depth == formula.depth
+                and len(tower.final) == formula.block_count
+                and set(tower.final.sizes()) == {ref.size}
+                and (math.gcd(a, n0) != 1 or ref.size == formula.block_modulus)
             )
             if not ok:
                 bad.append((n0, a))
     return [_row(g, "n0 = 1..40, a = -10..10: block count, depth and block type "
-                    "match the gcd chain", [], bad, literal=True)]
+                    "match the gcd chain, by refinement and by the (1-t)^k tower",
+                 [], bad, literal=True)]
 
 
 def _eval_classifier_rows() -> list[CheckRow]:
@@ -372,6 +383,17 @@ def suite_final_blocks_isomorphic(rng, cases=PROPERTY_CASES) -> int:
     return failures
 
 
+def suite_image_tower(rng, cases=PROPERTY_CASES) -> int:
+    """The cosets of (1 - t)^k M are the levels of table refinement."""
+    failures = 0
+    for _ in range(cases):
+        module = _random_module(rng)
+        if alexander_decomposition(module) != maximal_decomposition(
+                alexander_quandle(module).quandle):
+            failures += 1
+    return failures
+
+
 def suite_refinement_chain(rng, cases=PROPERTY_CASES) -> int:
     """Each level refines the previous, block counts strictly grow before the
     fixed point, and every final block is connected, so refining the fixed
@@ -399,6 +421,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("union-connectivity", suite_union_connectivity),
     ("final-blocks-isomorphic", suite_final_blocks_isomorphic),
     ("refinement-chain", suite_refinement_chain),
+    ("image-tower", suite_image_tower),
 )
 
 

@@ -3,6 +3,8 @@ import random
 
 from quandles import (
     LaurentPoly,
+    Partition,
+    alexander_decomposition,
     alexander_quandle,
     build,
     check_axioms,
@@ -23,6 +25,20 @@ from quandles import (
     type_of,
 )
 from quandles.tmodule import IdealPresentation
+from quandles.verify import _random_module
+
+NAMED_MODULES = ("1; t+1", "6; t^2+t+1", "64; t+1", "10; t^3+t+1", "12; t+5",
+                 "6; 2t+4; t^2+t+1", "8; t^2+1; 2t+2", "4; t+2")
+
+
+def _tower_grid():
+    """Named presentations, (n0; t+a) on a small grid and seeded random modules."""
+    modules = [build(parse_ideal(text)) for text in NAMED_MODULES]
+    modules += [build(IdealPresentation(n0, (LaurentPoly({0: a, 1: 1}),)))
+                for n0 in range(1, 25, 3) for a in range(-4, 5)]
+    rng = random.Random(2024)
+    modules += [_random_module(rng, max_order=100) for _ in range(60)]
+    return modules
 
 
 class TestAlexanderQuandle:
@@ -228,3 +244,49 @@ class TestCrossChecks:
                 assert find_isomorphism(subquandle(aq.quandle, block),
                                         piece) is not None, pres.descriptor()
             checked += 1
+
+
+class TestAlexanderDecomposition:
+    def test_matches_table_refinement(self):
+        for module in _tower_grid():
+            expected = maximal_decomposition(alexander_quandle(module).quandle)
+            assert alexander_decomposition(module) == expected, module
+
+    def test_components_count_is_eval_modulus(self):
+        for module in _tower_grid():
+            assert len(alexander_decomposition(module).levels[1]) == module.eval_modulus, module
+
+    def test_trivial_module_has_depth_zero(self):
+        dec = alexander_decomposition(build(parse_ideal("1; t+1")))
+        assert dec.depth == 0
+        assert dec.levels == (Partition([[0]]), Partition([[0]]))
+
+    def test_six_cubic(self):
+        dec = alexander_decomposition(build(parse_ideal("6; t^2+t+1")))
+        assert dec.depth == 2
+        assert dec.final.sizes() == (4,) * 9
+        assert len(dec.levels[1]) == 3
+
+    def test_sixty_four_dihedral(self):
+        dec = alexander_decomposition(build(parse_ideal("64; t+1")))
+        assert dec.depth == 6
+        assert [len(level) for level in dec.levels] == [1, 2, 4, 8, 16, 32, 64, 64]
+
+    def test_two_generator_presentation(self):
+        module = build(parse_ideal("6; 2t+4; t^2+t+1"))
+        assert module.invariant_factors == (2, 6)
+        dec = alexander_decomposition(module)
+        assert dec.depth == 1
+        assert dec.final.sizes() == (4, 4, 4)
+
+    def test_gcd_chain_is_the_rank_one_tower(self):
+        for n0 in range(1, 41):
+            for a in (-3, 1, 2, 5):
+                if math.gcd(a, n0) != 1:
+                    continue
+                formula = gcd_chain(n0, a)
+                dec = alexander_decomposition(
+                    build(IdealPresentation(n0, (LaurentPoly({0: a, 1: 1}),))))
+                assert dec.depth == formula.depth
+                assert len(dec.final) == formula.block_count
+                assert set(dec.final.sizes()) == {formula.block_modulus}

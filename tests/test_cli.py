@@ -1,6 +1,8 @@
 import json
 
-from quandles import dihedral, symmetric_group
+import pytest
+
+from quandles import alexander_quandle, build, dihedral, parse_ideal, symmetric_group
 from quandles.cli import main
 from quandles.group import conj_quandle
 
@@ -154,6 +156,61 @@ class TestTableLoading:
         code, out, err = run(capsys, "components", "--table", str(path), "--unchecked")
         assert code == 3 and out == ""
         assert "not bijections" in err
+
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "iso", "assoc"])
+    def test_unchecked_refuses_non_bijective_columns_for_every_verb_but_axioms(
+            self, capsys, tmp_path, verb):
+        # 0 * 0 == 1 * 0 == 1, and the forward orbits do not overlap
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"size": 2, "table": [[1, 0], [1, 1]]}))
+        argv = [verb, "--table", str(path), "--unchecked"]
+        if verb == "iso":
+            argv += ["--dihedral", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("invalid table: right translations are not bijections "
+                       "(right-invertibility fails at (0, 1, 0))\n")
+
+
+class TestAlexanderSources:
+    """components/maxdecomp on a lone Alexander source skip the table; the
+    output must match the table path byte for byte."""
+
+    SOURCES = [("--alexander", text) for text in
+               ("1; t+1", "6; t^2+t+1", "12; t+5", "6; 2t+4; t^2+t+1", "8; t^2+1; 2t+2")]
+    SOURCES += [("--dihedral", str(m)) for m in (1, 6, 9, 16)]
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("flag,value", SOURCES)
+    def test_matches_table_path(self, capsys, tmp_path, verb, fmt, flag, value):
+        if flag == "--alexander":
+            q = alexander_quandle(build(parse_ideal(value))).quandle
+        else:
+            q = dihedral(int(value)).quandle
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(q.to_json()))
+        direct = run(capsys, verb, flag, value, "--format", fmt)
+        tabled = run(capsys, verb, "--table", str(path), "--format", fmt)
+        assert direct == tabled
+        assert direct[0] == 0 and direct[1]
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    @pytest.mark.parametrize("argv,code,err", [
+        (["--dihedral", "0"], 2, "error: order must be positive\n"),
+        (["--dihedral", "x"], 2, "error: invalid literal for int() with base 10: 'x'\n"),
+        (["--alexander", "0; t+1"], 2, "parse error: modulus must be positive (position 0)\n"),
+        (["--alexander", "4; 2t+2"], 4, "unsupported presentation: no generator of (4; 2+2t) "
+                                         "has a unit leading or trailing coefficient mod 4\n"),
+        (["--alexander", "6; t+1", "--dihedral", "3"], 2,
+         "error: this command needs exactly one source flag\n"),
+    ], ids=["dihedral-zero", "dihedral-text", "modulus-zero", "unsupported", "two-sources"])
+    def test_error_paths(self, capsys, verb, argv, code, err):
+        assert run(capsys, verb, *argv) == (code, "", err)
+        # the table path of another verb reports the same
+        if len(argv) == 2:
+            assert run(capsys, "axioms", *argv) == (code, "", err)
 
 
 class TestDeterminism:
