@@ -414,18 +414,43 @@ def _build_parser():
     return parser, all_subs
 
 
+def _config_defaults(path, parsers):
+    """Flag defaults from a JSON config file, refused with SystemExit2 unless
+    every key is the destination of a flag and every value is one that flag
+    accepts: a boolean for a switch, one of its choices, or its type."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit2(f"cannot read config file {path}: {exc}", EXIT_PARSE) from None
+    if not isinstance(data, dict):
+        raise SystemExit2(f"config file {path} must hold a JSON object", EXIT_PARSE)
+    flags = {action.dest: action for sub in parsers for action in sub._actions
+             if action.option_strings and action.dest not in ("help", "config")
+             and not isinstance(action, _Source)}
+    for key, value in data.items():
+        action = flags.get(key)
+        if action is None:
+            raise SystemExit2(f"config file {path}: unknown key {key!r}", EXIT_PARSE)
+        kind = bool if action.nargs == 0 else action.type or str
+        if type(value) is not kind or (action.choices is not None
+                                       and value not in action.choices):
+            raise SystemExit2(f"config file {path}: invalid value {value!r} for {key!r}",
+                              EXIT_PARSE)
+    return data
+
+
 def main(argv=None) -> int:
     parser, all_subs = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            defaults = json.load(handle)
-        # subparsers apply their own defaults, so push the overrides into each
-        parser.set_defaults(**defaults)
-        for sub in all_subs:
-            sub.set_defaults(**defaults)
-        args = parser.parse_args(argv)
     try:
+        if args.config:
+            defaults = _config_defaults(args.config, [parser, *all_subs])
+            # subparsers apply their own defaults, so push the overrides into each
+            parser.set_defaults(**defaults)
+            for sub in all_subs:
+                sub.set_defaults(**defaults)
+            args = parser.parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

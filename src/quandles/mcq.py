@@ -12,11 +12,13 @@ of order m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, cyclic_group
-from .quandle import FiniteQuandle, InvalidTable, Partition, closure, orbits, type_of
+from .quandle import (FiniteQuandle, InvalidTable, Partition, closure, generators, orbits,
+                      type_of)
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,80 @@ def check_mcq_axioms(x: MCQ) -> Optional[McqViolation]:
     conjugation; acting by an identity is trivial and acting by a product is
     the composite of the actions; the operation is right self-distributive;
     group multiplication is equivariant, with both factors moved into one
-    common group.
+    common group.  The witness is the first in scan order (see
+    _first_violation, which runs only on a structure that fails).
+
+    The decision uses generating sets: Gamma_lam, a greedy generating set of
+    G_lam grown from its identity, and Z, one of the whole structure under *
+    and the group products (see generators).  Conjugation and the identity
+    action are checked in full; x * (a b) == (x * a) * b for all x, a and
+    b in Gamma_lam; equivariance for all a, x and b in Gamma_lam with e_lam;
+    self-distributivity for z in Z, y in the union of the Gamma_lam and all
+    x.  Writing S_z for x -> x * z, this is exact:
+
+    - the b of G_lam passing the action check for all x, a are closed under
+      products, since S_(a b1 b2) = S_b2 S_(a b1) = S_b2 S_b1 S_a;
+    - the b passing equivariance for all a at one x are closed under
+      products, and b = e_lam puts every a * x into one group;
+    - for fixed z, the y with S_z S_y = S_(y * z) S_z are closed under the
+      group products (by the action and equivariance), and the identities
+      are among them, since e * z is idempotent in its group, so Gamma
+      suffices for y;
+    - the z whose S_z is an automorphism of (X, *) are closed under the
+      group products, S_(z1 z2) = S_z2 S_z1, and under *, because
+      S_(z1 * z2) = S_z2 S_z1 S_z2^-1, so Z suffices for z.
     """
+    return None if _holds(x) else _first_violation(x)
+
+
+def _holds(x: MCQ) -> bool:
+    # lists, not tuples: map over a list's __getitem__ is the faster lookup
+    op = [list(row) for row in x.op]
+    cols = [list(col) for col in zip(*op)]
+    group_of = list(x.group_of)
+    carrier = list(range(x.size))
+    # the group product in carrier indices: gmul(a, b) == grows[a][local[b]]
+    local = [i - x.offsets[lam] for i, lam in enumerate(group_of)]
+    grows = [[x.offsets[lam] + v for v in x.groups[lam].mult[local[a]]]
+             for a, lam in enumerate(group_of)]
+    gammas = []
+    for lam in range(x.group_count):
+        span = x.group_range(lam)
+        if any(op[a][b] != x.gmul(x.gmul(x.ginv(b), a), b) for a in span for b in span):
+            return False
+        e = x.identity_of(lam)
+        if cols[e] != carrier:
+            return False
+        gammas.append(generators(span, (e,), lambda a, b: (x.gmul(a, b), x.gmul(b, a))))
+    for lam, gamma in enumerate(gammas):
+        span = x.group_range(lam)
+        for b in gamma:
+            for a in span:
+                # x * (a b) == (x * a) * b for every x
+                if cols[x.gmul(a, b)] != list(map(cols[b].__getitem__, cols[a])):
+                    return False
+        for b in (*gamma, x.identity_of(lam)):
+            groups_b = list(map(group_of.__getitem__, op[b]))
+            local_b = list(map(local.__getitem__, op[b]))
+            for a in span:
+                # (a b) * x == (a * x)(b * x), both factors in one group, for every x
+                if list(map(group_of.__getitem__, op[a])) != groups_b:
+                    return False
+                if op[x.gmul(a, b)] != list(map(getitem, map(grows.__getitem__, op[a]), local_b)):
+                    return False
+    ys = [y for gamma in gammas for y in gamma]
+    for z in generators(carrier, (), _sub_mcq_products(x)):
+        col = cols[z]
+        if col == carrier:  # S_z is the identity map, an automorphism
+            continue
+        for y in ys:
+            # (x * y) * z == (x * z) * (y * z) for every x
+            if list(map(col.__getitem__, cols[y])) != list(map(cols[col[y]].__getitem__, col)):
+                return False
+    return True
+
+
+def _first_violation(x: MCQ) -> Optional[McqViolation]:
     op = x.op
     for lam in range(x.group_count):
         for a in x.group_range(lam):
@@ -275,13 +349,18 @@ def generated_sub_mcq(x: MCQ, seeds: Iterable[int]) -> frozenset[int]:
     Closure under * and the group products suffices: in a finite group the
     powers of a hold its inverse, and x * a^-1 undoes x * a.
     """
-    def products(a, b):
-        pair = (x.op[a][b], x.op[b][a])
-        if x.group_of[a] != x.group_of[b]:
-            return pair
-        return pair + (x.gmul(a, b), x.gmul(b, a))
+    return closure(seeds, _sub_mcq_products(x))
 
-    return closure(seeds, products)
+
+def _sub_mcq_products(x: MCQ):
+    op, group_of = x.op, x.group_of
+
+    def products(a, b):
+        if group_of[a] != group_of[b]:
+            return op[a][b], op[b][a]
+        return op[a][b], op[b][a], x.gmul(a, b), x.gmul(b, a)
+
+    return products
 
 
 @dataclass(frozen=True)

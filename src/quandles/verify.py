@@ -21,6 +21,7 @@ from .decomposition import maximal_decomposition
 from .laurent import ONE_MINUS_T, LaurentPoly, split_one_minus_t, syzygy_basis
 from .intmat import in_row_span
 from .mcq import (
+    MCQ,
     associated_mcq,
     check_mcq_axioms,
     generated_sub_mcq,
@@ -29,6 +30,7 @@ from .mcq import (
     maximal_mcq_decomposition,
 )
 from .quandle import (
+    FiniteQuandle,
     Partition,
     check_axioms,
     connected_components,
@@ -37,7 +39,9 @@ from .quandle import (
     is_connected,
     subquandle,
     trivial_quandle,
+    type_of,
 )
+from . import mcq, quandle
 from .tmodule import (
     IdealPresentation,
     UnsupportedPresentation,
@@ -299,6 +303,50 @@ def _random_quandle(rng, max_size=16):
     return trivial_quandle(rng.randint(1, max_size))
 
 
+def near_quandle(rng, q: FiniteQuandle) -> FiniteQuandle:
+    """q with the images of two elements swapped in one column: the columns
+    stay bijections, and the table is mostly not a quandle."""
+    t = [list(row) for row in q.table]
+    if q.size > 1:
+        b = rng.randrange(q.size)
+        a1, a2 = rng.sample(range(q.size), 2)
+        t[a1][b], t[a2][b] = t[a2][b], t[a1][b]
+    return FiniteQuandle(t, q.labels)
+
+
+def random_small_mcq(rng) -> MCQ:
+    """One to four groups Z_1, Z_2 or Z_3, with conjugation inside each group
+    and identities acting trivially.  The other products are random or, half
+    the time, the powers of one permutation per group of an order dividing
+    the group's that fixes the group, so that the action axiom holds too."""
+    groups = [cyclic_group(rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    n = sum(g.size for g in groups)
+    op = [[xx] * n for xx in range(n)]
+    powers = rng.randrange(2)
+    off = 0
+    for g in groups:
+        m = g.size
+        others = [i for i in range(n) if not off <= i < off + m]
+        if powers:
+            rng.shuffle(others)
+            sigma = list(range(n))
+            for k in range(rng.randint(0, len(others) // m)):
+                cycle = others[k * m:(k + 1) * m]
+                for i, v in enumerate(cycle):
+                    sigma[v] = cycle[(i + 1) % m]
+            image = list(range(n))
+            for j in range(1, m):
+                image = [sigma[v] for v in image]
+                for xx in range(n):
+                    op[xx][off + j] = image[xx]
+        else:
+            for j in range(1, m):
+                for xx in others:
+                    op[xx][off + j] = rng.randrange(n)
+        off += m
+    return MCQ(groups, op)
+
+
 def suite_constructor_axioms(rng, cases=PROPERTY_CASES) -> int:
     """Every constructor output passes the three quandle axioms."""
     failures = 0
@@ -414,6 +462,25 @@ def suite_refinement_chain(rng, cases=PROPERTY_CASES) -> int:
     return failures
 
 
+def suite_axiom_generators(rng, cases=PROPERTY_CASES) -> int:
+    """Deciding the axioms on generating sets agrees with the full scan, on
+    quandles and near-quandles (one column with two images swapped), their
+    associated structures up to carrier 36, and random small MCQs."""
+    failures = 0
+    for _ in range(cases):
+        q = _random_quandle(rng, max_size=12)
+        if rng.randrange(2):
+            q = near_quandle(rng, q)
+        structures = [random_small_mcq(rng)]
+        if type_of(q) * q.size <= 36:
+            structures.append(associated_mcq(q))
+        ok = check_axioms(q) == quandle._first_violation(q)
+        ok = ok and all(check_mcq_axioms(x) == mcq._first_violation(x) for x in structures)
+        if not ok:
+            failures += 1
+    return failures
+
+
 PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("constructor-axioms", suite_constructor_axioms),
     ("split-identity", suite_split_identity),
@@ -422,6 +489,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("final-blocks-isomorphic", suite_final_blocks_isomorphic),
     ("refinement-chain", suite_refinement_chain),
     ("image-tower", suite_image_tower),
+    ("axiom-generators", suite_axiom_generators),
 )
 
 

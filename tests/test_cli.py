@@ -227,6 +227,38 @@ class TestDeterminism:
         assert json.loads(out)["block_count"] == 4
 
 
+class TestConfig:
+    @pytest.mark.parametrize("content,message", [
+        (b'{"format": "xml", "bogus": 1}', "invalid value 'xml' for 'format'"),
+        (b'{"bogus": 1}', "unknown key 'bogus'"),
+        (b'{"ideal": "6; t+1"}', "unknown key 'ideal'"),
+        (b'{"seed": "7"}', "invalid value '7' for 'seed'"),
+        (b'{"unchecked": 1}', "invalid value 1 for 'unchecked'"),
+        (b'["format", "json"]', "must hold a JSON object"),
+        (b'{"format": ', "cannot read config file"),
+        (b'\xff\xfe', "cannot read config file"),
+    ])
+    def test_bad_config_is_a_parse_error(self, capsys, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, "--config", str(cfg), "prop56", "12", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config_is_a_parse_error(self, capsys, tmp_path, name):
+        code, out, err = run(capsys, "--config", str(tmp_path / name), "prop56", "12", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file")
+
+    def test_keys_of_other_verbs_are_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json", "seed": 3, "unchecked": True}))
+        code, out, _ = run(capsys, "--config", str(cfg), "prop56", "12", "1")
+        assert code == 0
+        assert json.loads(out)["depth"] == 2
+
+
 class TestVerify:
     def test_subset_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "six-cubic")

@@ -5,6 +5,9 @@ import pytest
 from quandles import (
     MCQ,
     InvalidTable,
+    alexander_quandle,
+    build,
+    parse_ideal,
     NotASubquandle,
     Partition,
     associated_mcq,
@@ -22,6 +25,8 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
+from quandles.mcq import McqViolation, _first_violation
+from quandles.verify import near_quandle, random_small_mcq
 
 
 def mcq_isomorphic_by(x, y, carrier_map):
@@ -99,6 +104,47 @@ class TestAxioms:
         assert bad is not None
         assert bad.axiom == "group-action"
         assert bad.witness == (victim, e0)
+
+    def test_generator_decision_matches_the_scan_on_near_quandles(self, conj_s3, tetrahedral):
+        rng = random.Random(11)
+        bases = [dihedral(m).quandle for m in (3, 4, 5, 6)] + [
+            tetrahedral.quandle, conj_s3, alexander_quandle(build(parse_ideal("5; t+2"))).quandle]
+        seen = set()
+        for _ in range(300):
+            x = associated_mcq(near_quandle(rng, rng.choice(bases)))
+            bad = _first_violation(x)
+            assert check_mcq_axioms(x) == bad
+            seen.add(bad.axiom if bad else None)
+        assert "self-distributivity" in seen
+
+    def test_generator_decision_matches_the_scan_on_random_mcqs(self):
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(1500):
+            x = random_small_mcq(rng)
+            bad = _first_violation(x)
+            assert check_mcq_axioms(x) == bad
+            seen.add(bad.axiom if bad else None)
+        assert seen == {None, "group-action", "self-distributivity", "product-equivariance"}
+
+    def test_self_distributive_but_not_equivariant(self):
+        # Z_2 + Z_2 on e1, a1, e2, a2; only S_a2 moves anything: it swaps e1 and a1
+        z2 = cyclic_group(2)
+        op = [[0, 0, 0, 1], [1, 1, 1, 0], [2, 2, 2, 2], [3, 3, 3, 3]]
+        x = MCQ((z2, z2), op)
+        assert all(op[op[a][b]][c] == op[op[a][c]][op[b][c]]
+                   for a in range(4) for b in range(4) for c in range(4))
+        assert check_mcq_axioms(x) == _first_violation(x) == McqViolation(
+            "product-equivariance", (0, 0, 3))
+
+    def test_trivial_quandles_and_trivial_groups(self):
+        rng = random.Random(17)
+        for n in range(1, 7):
+            x = associated_mcq(trivial_quandle(n))
+            assert all(g.size == 1 for g in x.groups)
+            assert check_mcq_axioms(x) is None
+            x = associated_mcq(near_quandle(rng, trivial_quandle(n)))
+            assert check_mcq_axioms(x) == _first_violation(x)
 
     def test_loader_round_trip_and_refusal(self):
         x = associated_mcq(dihedral(3).quandle)

@@ -24,6 +24,8 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
+from quandles.quandle import _first_violation
+from quandles.verify import near_quandle
 
 
 def label_index(q, name):
@@ -114,6 +116,19 @@ class TestAxioms:
         assert bad is not None
         assert bad.axiom == "self-distributivity"
         assert bad.witness == (0, 1, 0)
+
+    def test_generator_decision_matches_the_scan_on_near_quandles(self, conj_s3, tetrahedral):
+        rng = random.Random(7)
+        bases = [dihedral(m).quandle for m in (3, 4, 5, 6, 9)] + [
+            tetrahedral.quandle, conj_s3, trivial_quandle(5),
+            alexander_quandle(build(parse_ideal("7; t+3"))).quandle]
+        seen = set()
+        for _ in range(600):
+            q = near_quandle(rng, rng.choice(bases))
+            bad = _first_violation(q)
+            assert check_axioms(q) == bad
+            seen.add(bad.axiom if bad else None)
+        assert {"idempotency", "self-distributivity"} <= seen
 
     def test_from_table_refuses_invalid(self):
         with pytest.raises(InvalidTable):
