@@ -76,7 +76,6 @@ from .mcq import (
     MCQ,
     McqDecomposition,
     McqViolation,
-    SubMcqReport,
     associated_mcq,
     check_mcq_axioms,
     conjugation_mcq,

@@ -3,13 +3,15 @@
 Verbs: axioms, components, maxdecomp, iso, build, theory, prop56, assoc,
 verify.  Sources are given by flags; outputs are deterministic text or JSON.
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 axiom
-violation, 4 unsupported presentation.
+violation, 4 unsupported presentation, 141 (128 + SIGPIPE) output closed by
+its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
@@ -28,6 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_AXIOMS = 3
 EXIT_UNSUPPORTED = 4
+EXIT_BROKEN_PIPE = 141
 
 _QUANDLE_VERBS = ("axioms", "components", "maxdecomp", "iso", "assoc")
 
@@ -80,14 +83,7 @@ def _resolve_one(kind, value, args):
     if kind == "dihedral":
         return dihedral(int(value)).quandle
     if kind == "table":
-        q = FiniteQuandle.from_json(_load_json(value), check=not args.unchecked)
-        # only `axioms` may go on with broken columns: it reports the violation
-        if args.unchecked and args.verb != "axioms":
-            bad = check_columns(q)
-            if bad is not None:
-                raise InvalidTable("right translations are not bijections "
-                                   f"({bad.axiom} fails at {bad.witness})")
-        return q
+        return FiniteQuandle.from_json(_load_json(value), check=not args.unchecked)
     if kind == "symmetric":
         return symmetric_group(int(value))
     if kind == "cyclic":
@@ -111,6 +107,12 @@ def _resolve_sources(args, count=1):
             if not args.conj:
                 raise SystemExit2("group sources need --conj", EXIT_PARSE)
             obj = conj_quandle(obj)
+        # only `axioms` may go on with broken columns: it reports the violation
+        if isinstance(obj, FiniteQuandle) and args.unchecked and args.verb != "axioms":
+            bad = check_columns(obj)
+            if bad is not None:
+                raise InvalidTable("right translations are not bijections "
+                                   f"({bad.axiom} fails at {bad.witness})")
         if isinstance(obj, FiniteQuandle) and args.assoc:
             obj = associated_mcq(obj)
         out.append(obj)
@@ -451,7 +453,13 @@ def main(argv=None) -> int:
             for sub in all_subs:
                 sub.set_defaults(**defaults)
             args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: say nothing, and keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,24 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
 
 
 def _holds(q: FiniteQuandle) -> bool:
-    # lists, not tuples: map over a list's __getitem__ is the faster lookup
-    t = [list(row) for row in q.table]
-    if any(t[a][a] != a for a in range(q.size)) or check_columns(q) is not None:
+    if any(q.table[a][a] != a for a in range(q.size)) or check_columns(q) is not None:
         return False
-    identity = list(range(q.size))
-    for c in generators(identity, (), _quandle_products(q)):
-        col = [row[c] for row in t]
-        if col == identity:  # S_c is the identity map, an automorphism
+    cols = [list(col) for col in zip(*q.table)]
+    return _distributes(cols, generators(range(q.size), (), _quandle_products(q)),
+                        range(q.size))
+
+
+def _distributes(cols: list[list[int]], zs: Iterable[int], ys: Sequence[int]) -> bool:
+    """Whether (x * y) * z == (x * z) * (y * z) for every x, every y in ys
+    and every z in zs, where cols[b] is the column x -> x * b (lists, not
+    tuples: map over a list's __getitem__ is the faster lookup)."""
+    identity = list(range(len(cols)))
+    for z in zs:
+        col = cols[z]
+        if col == identity:  # S_z is the identity map, an automorphism
             continue
-        for row, ac in zip(t, col):
-            # (a * b) * c == (a * c) * (b * c) for every b
-            if list(map(col.__getitem__, row)) != list(map(t[ac].__getitem__, col)):
+        for y in ys:
+            if list(map(col.__getitem__, cols[y])) != list(map(cols[col[y]].__getitem__, col)):
                 return False
     return True
 
@@ -222,9 +228,12 @@ def _first_violation(q: FiniteQuandle) -> Optional[AxiomViolation]:
 
 def check_columns(q: FiniteQuandle) -> Optional[AxiomViolation]:
     """None when every column x -> x * b is a bijection; otherwise the first
-    collision (a, a2, b) with a < a2 and a * b == a2 * b, scanning b first."""
+    collision (a, a2, b) with a < a2 and a * b == a2 * b, scanning b first
+    (the scan runs only on a table that fails)."""
     t = q.table
     n = q.size
+    if all(len(set(col)) == n for col in zip(*t)):
+        return None
     for b in range(n):
         hit = [-1] * n
         for a in range(n):

@@ -40,8 +40,6 @@ from .intmat import (
 )
 from .laurent import LaurentPoly, ParseError, eval_one, format_poly, gcd_vec, parse_poly
 
-_SATURATION_ROUNDS = 64
-
 
 class UnsupportedPresentation(Exception):
     """No generator is monic up to a unit mod n, so this enumeration scheme
@@ -242,7 +240,7 @@ def _stable_kernel_lattice(t_rows, mods):
     diag = _diag_rows(mods)
     prev = hnf(diag)
     power = identity(r)
-    for _ in range(_SATURATION_ROUNDS):
+    while True:
         power = _row_reduce(mat_mul(t_rows, power), mods)
         stacked = [power[i] + diag[i] for i in range(r)]
         kern = right_kernel(stacked)
@@ -250,7 +248,6 @@ def _stable_kernel_lattice(t_rows, mods):
         if cur == prev:
             return cur
         prev = cur
-    raise ArithmeticError("kernel chain failed to stabilize")
 
 
 def _invert_action(t_rows, mods):

@@ -31,7 +31,7 @@ from quandles import (
     type_of,
 )
 from quandles.tmodule import IdealPresentation
-from quandles.verify import PROPERTY_CASES, PROPERTY_SUITES
+from quandles.verify import PROPERTY_CASES, PROPERTY_SUITES, substructure_criteria
 
 ORBIT_LABELS = {
     0: {"0", "3", "3t", "1+2t", "1+5t", "2+t", "2+4t",
@@ -180,7 +180,6 @@ def test_criterion_8_mcq_layer(tetrahedral, conj_s3):
                                                          rng.randint(1, 3)))
             else:
                 subset = rng.sample(range(x.size), rng.randint(1, x.size))
-            report = is_sub_mcq(x, subset)
-            assert (report.by_restriction == report.by_intersections
-                    == report.by_factorization)
+            ok = is_sub_mcq(x, subset)
+            assert substructure_criteria(x, subset) == (ok, ok, ok)
     print("ACCEPTANCE 8 (associated MCQ layer): PASS")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,12 @@ class TestParsingCommands:
 
     def test_bad_modulus_exit_code(self, capsys):
         assert run(capsys, "build", "0; t+1")[0] == 2
+
+    def test_saturation_runs_until_the_kernel_chain_stabilises(self, capsys):
+        # t = -2 is nilpotent mod 2^70: the kernels of t^k grow for 70 rounds
+        code, out, err = run(capsys, "build", f"{2 ** 70}; t+2", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["order"] == 1
 
     def test_unsupported_presentation_exit_code(self, capsys):
         code, _, err = run(capsys, "build", "4; 2t+2")
@@ -171,6 +181,14 @@ class TestTableLoading:
         assert code == 3 and out == ""
         assert err == ("invalid table: right translations are not bijections "
                        "(right-invertibility fails at (0, 1, 0))\n")
+        # not a group: its conjugation table has 1 * 1 == 2 * 1
+        group = tmp_path / "g.json"
+        group.write_text(json.dumps({"mult": [[0, 1, 2], [1, 0, 0], [2, 0, 0]], "identity": 0}))
+        argv[1:3] = ["--group", str(group), "--conj"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("invalid table: right translations are not bijections "
+                       "(right-invertibility fails at (1, 2, 1))\n")
 
 
 class TestAlexanderSources:
@@ -282,3 +300,17 @@ class TestVerify:
         data = json.loads(out)
         assert data["failures"] == 0
         assert all(row["ok"] for row in data["checks"])
+
+
+def test_a_reader_closing_stdout_ends_the_call_quietly_with_141():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # the JSON of this carrier-300 structure is far larger than a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quandles.cli", "assoc", "--dihedral", "150", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{"groups":'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

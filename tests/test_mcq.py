@@ -26,7 +26,7 @@ from quandles import (
     type_of,
 )
 from quandles.mcq import McqViolation, _first_violation
-from quandles.verify import near_quandle, random_small_mcq
+from quandles.verify import near_quandle, random_small_mcq, substructure_criteria
 
 
 def mcq_isomorphic_by(x, y, carrier_map):
@@ -67,13 +67,25 @@ class TestAssociatedMcq:
         assert x.group_count == 4
         assert x.size == 12
 
-    def test_operation_formula(self):
-        q = dihedral(4).quandle
+    @pytest.mark.parametrize("source,m", [
+        ("dihedral-4", 2), ("tetrahedral", 3), ("7; t+3", 3), ("7; t+4", 6), ("conj-s3", 6)],
+        ids=["dihedral-4", "tetrahedral", "alexander-7-t+3", "alexander-7-t+4", "conj-s3"])
+    def test_operation_formula(self, request, source, m):
+        if source == "dihedral-4":
+            q = dihedral(4).quandle
+        elif source == "tetrahedral":
+            q = request.getfixturevalue("tetrahedral").quandle
+        elif source == "conj-s3":
+            q = request.getfixturevalue("conj_s3")
+        else:
+            q = alexander_quandle(build(parse_ideal(source))).quandle
+        assert type_of(q) == m
         x = associated_mcq(q)
-        m = 2
-        for xx in range(4):
+        n = q.size
+        assert x.size == n * m
+        for xx in range(n):
             for g in range(m):
-                for y in range(4):
+                for y in range(n):
                     for h in range(m):
                         out = x.op[xx * m + g][y * m + h]
                         elem = xx
@@ -188,23 +200,28 @@ class TestLambdaOrbits:
 class TestSubMcq:
     def test_identity_singleton(self):
         x = associated_mcq(dihedral(3).quandle)
-        report = is_sub_mcq(x, [x.identity_of(0)])
-        assert report.ok
+        subset = [x.identity_of(0)]
+        assert is_sub_mcq(x, subset) is True
+        assert substructure_criteria(x, subset) == (True, True, True)
 
     def test_full_carrier(self):
         x = associated_mcq(dihedral(3).quandle)
-        assert is_sub_mcq(x, range(x.size)).ok
+        assert is_sub_mcq(x, range(x.size)) is True
 
     def test_non_idempotent_singleton(self):
         x = associated_mcq(dihedral(3).quandle)
         non_identity = next(i for i in range(x.size) if x.gmul(i, i) != i or
                             i != x.identity_of(x.group_of[i]))
-        report = is_sub_mcq(x, [non_identity])
-        assert not report.ok
-        assert not report.by_intersections
+        assert is_sub_mcq(x, [non_identity]) is False
+        assert substructure_criteria(x, [non_identity]) == (False, False, False)
+
+    def test_empty_subset_is_refused(self):
+        with pytest.raises(ValueError):
+            is_sub_mcq(associated_mcq(dihedral(3).quandle), [])
 
     def test_criteria_agree_on_random_subsets(self, conj_s3):
         rng = random.Random(31)
+        seen = set()
         for q in (dihedral(4).quandle, dihedral(9).quandle, conj_s3):
             x = associated_mcq(q)
             for _ in range(300):
@@ -213,9 +230,10 @@ class TestSubMcq:
                         x, rng.sample(range(x.size), rng.randint(1, 3)))
                 else:
                     subset = rng.sample(range(x.size), rng.randint(1, x.size))
-                report = is_sub_mcq(x, subset)
-                assert (report.by_restriction == report.by_intersections
-                        == report.by_factorization == report.ok)
+                ok = is_sub_mcq(x, subset)
+                assert substructure_criteria(x, subset) == (ok, ok, ok)
+                seen.add(ok)
+        assert seen == {True, False}
 
 
 class TestGeneratedSubMcq:
@@ -251,7 +269,7 @@ class TestGeneratedSubMcq:
             for _ in range(40):
                 seeds = rng.sample(range(x.size), rng.randint(1, 3))
                 closure = generated_sub_mcq(x, seeds)
-                assert is_sub_mcq(x, closure).ok
+                assert is_sub_mcq(x, closure)
                 # identity of every touched group is reachable from a seed
                 # identity by moves with operands in the seed set
                 reach = {x.identity_of(x.group_of[a]) for a in seeds}
