@@ -108,8 +108,8 @@ def _resolve_sources(args, count=1):
                 raise SystemExit2("group sources need --conj", EXIT_PARSE)
             obj = conj_quandle(obj)
         # only `axioms` may go on with broken columns: it reports the violation
-        if isinstance(obj, FiniteQuandle) and args.unchecked and args.verb != "axioms":
-            bad = check_columns(obj)
+        if args.unchecked and args.verb != "axioms":
+            bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle(obj.op))
             if bad is not None:
                 raise InvalidTable("right translations are not bijections "
                                    f"({bad.axiom} fails at {bad.witness})")

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import itertools
+from operator import getitem, itemgetter
 from typing import Optional
 
-from .quandle import FiniteQuandle, InvalidTable, Partition
+from .quandle import FiniteQuandle, InvalidTable, Partition, check_json_fields, generators
 
 
 class FiniteGroup:
     """A group on {0, ..., size-1} given by its multiplication table.
 
     Construction derives the identity and inverses (raising ValueError when
-    they do not exist); full associativity is checked separately by
-    check_group, since it is cubic in the order.
+    they do not exist); associativity is checked separately by check_group,
+    on a generating set (see there).
     """
 
     __slots__ = ("size", "mult", "inv", "identity", "labels")
@@ -26,27 +27,27 @@ class FiniteGroup:
         for row in rows:
             if len(row) != n:
                 raise ValueError("multiplication table must be square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError("table entries must index elements")
+            if min(row) < 0 or max(row) >= n:
+                raise ValueError("table entries must index elements")
+        unit = tuple(range(n))
         if identity is None:
-            identity = next(
-                (e for e in range(n)
-                 if all(rows[e][x] == x == rows[x][e] for x in range(n))),
-                None,
-            )
+            identity = next((e for e in range(n) if rows[e] == unit
+                             and tuple(map(itemgetter(e), rows)) == unit), None)
             if identity is None:
                 raise ValueError("table has no identity element")
-        elif not all(rows[identity][x] == x == rows[x][identity] for x in range(n)):
+        elif not (0 <= identity < n and rows[identity] == unit
+                  and tuple(map(itemgetter(identity), rows)) == unit):
             raise ValueError("declared identity is not an identity")
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if rows[a][b] == identity and rows[b][a] == identity:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no inverse")
+        inv = []
+        for a, row in enumerate(rows):
+            # the least b with a b == identity == b a, among the b with a b == identity
+            try:
+                b = row.index(identity)
+                while rows[b][a] != identity:
+                    b = row.index(identity, b + 1)
+            except ValueError:
+                raise ValueError(f"element {a} has no inverse") from None
+            inv.append(b)
         self.size = n
         self.mult = rows
         self.identity = identity
@@ -72,7 +73,11 @@ class FiniteGroup:
     def from_json(cls, data, check: bool = True) -> "FiniteGroup":
         if not isinstance(data, dict) or "mult" not in data:
             raise ValueError("expected an object with a 'mult' field")
-        g = cls(data["mult"], data.get("identity"), data.get("labels"))
+        check_json_fields(data, "mult")
+        identity = data.get("identity")
+        if identity is not None and type(identity) is not int:
+            raise ValueError("'identity' must be an integer")
+        g = cls(data["mult"], identity, data.get("labels"))
         if "size" in data and data["size"] != g.size:
             raise ValueError("'size' disagrees with the table")
         if check:
@@ -86,7 +91,32 @@ class FiniteGroup:
 
 
 def check_group(g: FiniteGroup) -> Optional[str]:
-    """None for a genuine group, otherwise a message naming the failure."""
+    """None for a genuine group, otherwise a message naming the failure.
+
+    The witness (a, b, c), the first with (a b) c != a (b c) in scan order,
+    indices increasing, comes from the full scan, which runs only on a table
+    that fails.  Deciding associativity needs c only in a generating set Z
+    of the table under its product (see quandle.generators), n^2 work per
+    generator instead of n^3 (Light's test).  This is exact: the c with
+    (x y) c == x (y c) for all x, y are closed under products, since for
+    two of them, c and d,
+
+        (x y)(c d) = ((x y) c) d = (x (y c)) d = x ((y c) d) = x (y (c d)),
+
+    and a subset closed under products holding Z is everything.  Z is grown
+    from the identity, which passes, being a two-sided identity.
+    """
+    m = g.mult
+    for c in generators(range(g.size), (g.identity,), lambda a, b: (m[a][b], m[b][a])):
+        col = [row[c] for row in m]
+        through_col = itemgetter(*col)
+        # row x: y -> (x y) c reads col through row x, y -> x (y c) reads row x through col
+        if any(itemgetter(*row)(col) != through_col(row) for row in m):
+            return _first_nonassociative(g)
+    return None
+
+
+def _first_nonassociative(g: FiniteGroup) -> Optional[str]:
     n = g.size
     for a in range(n):
         for b in range(n):
@@ -126,28 +156,53 @@ def symmetric_group(n: int) -> FiniteGroup:
     The product p * q applies p first and q second.  Labels use disjoint
     cycle notation.  Degrees above 6 are refused: the tables grow
     factorially and everything downstream is meant for desk-scale objects.
+
+    Only the rows of two generators are composed from permutations: the
+    n-cycle (1 2 ... n) and the transposition (1 2).  The other rows follow
+    in breadth-first order from the identity row: if b = a s, then
+    b x = a (s x), so row(b) is row(a) read through row(s).
     """
     if not 1 <= n <= 6:
         raise ValueError("supported degrees are 1..6")
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    mult = [[index[tuple(q[p[i]] for i in range(n))] for q in perms] for p in perms]
+    points = tuple(range(n))
+    # (index of s, row(s) as an itemgetter that reads a row through it); a
+    # one-entry itemgetter gives no tuple, but S_1 reads no row, having one
+    gens = [(index[s], itemgetter(*(index[tuple(map(q.__getitem__, s))] for q in perms)))
+            for s in (points[1:] + points[:1], points[1::-1] + points[2:])]
+    rows = [None] * len(perms)
+    rows[0] = tuple(range(len(perms)))
+    order = [0]
+    for a in order:
+        row = rows[a]
+        for s, through in gens:
+            b = row[s]
+            if rows[b] is None:
+                rows[b] = through(row)
+                order.append(b)
     labels = [_cycle_label(p) for p in perms]
-    return FiniteGroup(mult, identity=0, labels=labels)
+    return FiniteGroup(rows, identity=0, labels=labels)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The integers mod n under addition."""
     if n < 1:
         raise ValueError("order must be positive")
-    mult = [[(a + b) % n for b in range(n)] for a in range(n)]
+    points = tuple(range(n))
+    mult = [points[a:] + points[:a] for a in range(n)]
     return FiniteGroup(mult, identity=0, labels=[str(a) for a in range(n)])
 
 
 def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
-    """The quandle on the group with a * b = b^-1 a b."""
-    n = g.size
-    table = [[g.mult[g.mult[g.inv[b]][a]][b] for b in range(n)] for a in range(n)]
+    """The quandle on the group with a * b = b^-1 a b.
+
+    Row a is read as b^-1 (a b), one lookup per cell in the row of b^-1;
+    on a table that is not associative (loaded unchecked) this is the
+    product in that order.
+    """
+    inv_rows = [g.mult[b] for b in g.inv]
+    table = [tuple(map(getitem, inv_rows, row)) for row in g.mult]
     return FiniteQuandle(table, g.labels)
 
 

@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
-from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, closure, generators,
-                      orbits, type_of)
+from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, check_json_fields,
+                      closure, generators, orbits, type_of)
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,9 @@ class MCQ:
     def from_json(cls, data, check: bool = True) -> "MCQ":
         if not isinstance(data, dict) or "groups" not in data or "op" not in data:
             raise ValueError("expected an object with 'groups' and 'op' fields")
+        if not isinstance(data["groups"], list):
+            raise ValueError("'groups' must be a list")
+        check_json_fields(data, "op")
         groups = [FiniteGroup.from_json(g, check=check) for g in data["groups"]]
         x = cls(groups, data["op"], data.get("labels"))
         if check:

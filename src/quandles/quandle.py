@@ -113,9 +113,8 @@ class FiniteQuandle:
         for row in rows:
             if len(row) != n:
                 raise ValueError("table must be square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError("table entries must index elements")
+            if min(row) < 0 or max(row) >= n:
+                raise ValueError("table entries must index elements")
         self.size = n
         self.table = rows
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
@@ -150,12 +149,30 @@ class FiniteQuandle:
         table = data.get("table")
         if table is None:
             raise ValueError("missing 'table'")
+        check_json_fields(data, "table")
         if "size" in data and data["size"] != len(table):
             raise ValueError("'size' disagrees with the table")
         return cls.from_table(table, data.get("labels"), check=check)
 
     def __repr__(self):
         return f"<FiniteQuandle size {self.size}>"
+
+
+_INT = frozenset({int})
+
+
+def check_json_fields(data: dict, field: str) -> None:
+    """Refuse a table read from JSON, data[field], unless it is a list of
+    lists of integers (bools excluded), and the optional 'labels' unless it
+    is a list: ValueError, so that a malformed file is an input error.  The
+    constructors leave entry types to their callers."""
+    table = data[field]
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValueError(f"'{field}' must be a list of lists")
+    if not all(_INT.issuperset(map(type, row)) for row in table):
+        raise ValueError(f"'{field}' entries must be integers")
+    if data.get("labels") is not None and not isinstance(data["labels"], list):
+        raise ValueError("'labels' must be a list")
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:

@@ -9,6 +9,7 @@ seed and are shared with the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from typing import Callable, Optional
 
 from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
                         gcd_chain, orbit_count)
-from .group import conj_quandle, conjugacy_classes, cyclic_group, symmetric_group
+from .group import (FiniteGroup, check_group, conj_quandle, conjugacy_classes, cyclic_group,
+                    symmetric_group)
 from .decomposition import maximal_decomposition
 from .laurent import ONE_MINUS_T, LaurentPoly, split_one_minus_t, syzygy_basis
 from .intmat import in_row_span
@@ -41,7 +43,7 @@ from .quandle import (
     trivial_quandle,
     type_of,
 )
-from . import mcq, quandle
+from . import group, mcq, quandle
 from .tmodule import (
     IdealPresentation,
     UnsupportedPresentation,
@@ -372,6 +374,117 @@ def substructure_criteria(x: MCQ, subset) -> tuple[bool, bool, bool]:
     return by_restriction, by_intersections, by_factorization
 
 
+def reference_symmetric_table(n: int) -> list[list[int]]:
+    """symmetric_group(n)'s table composed one cell at a time from the
+    permutations (p first, q second), as reference code."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(q[p[i]] for i in range(n))] for q in perms] for p in perms]
+
+
+def reference_conj_table(g: FiniteGroup) -> list[list[int]]:
+    """conj_quandle(g)'s table by the formula b^-1 a b = (b^-1 a) b, one
+    cell at a time, as reference code."""
+    m, inv = g.mult, g.inv
+    return [[m[m[inv[b]][a]][b] for b in range(g.size)] for a in range(g.size)]
+
+
+def reference_identity_and_inverses(mult) -> tuple | str:
+    """(identity, inverses) of a square table by scanning every candidate,
+    or the message FiniteGroup raises, as reference code for its
+    constructor; each inverse is the least two-sided one."""
+    n = len(mult)
+    e = next((e for e in range(n) if all(mult[e][x] == x == mult[x][e] for x in range(n))),
+             None)
+    if e is None:
+        return "table has no identity element"
+    inv = []
+    for a in range(n):
+        b = next((b for b in range(n) if mult[a][b] == e == mult[b][a]), None)
+        if b is None:
+            return f"element {a} has no inverse"
+        inv.append(b)
+    return e, tuple(inv)
+
+
+def _dihedral_group_table(m: int) -> list[list[int]]:
+    """The group of order 2m: index i + m j stands for r^i s^j, s r = r^-1 s."""
+    return [[(i + (k if j == 0 else -k)) % m + m * ((j + l) % 2)
+             for l in range(2) for k in range(m)] for j in range(2) for i in range(m)]
+
+
+def _product_table(g, h) -> list[list[int]]:
+    """The direct product of two group tables; index a |h| + b is (a, b)."""
+    nh = len(h)
+    return [[g[a][c] * nh + h[b][d] for c in range(len(g)) for d in range(nh)]
+            for a in range(len(g)) for b in range(nh)]
+
+
+def small_group_tables() -> list[list[list[int]]]:
+    """Cyclic groups of order up to 12, dihedral groups of order up to 24,
+    S3 and S4."""
+    small = [[[(a + b) % k for b in range(k)] for a in range(k)] for k in range(1, 13)]
+    small += [_dihedral_group_table(k) for k in range(1, 13)]
+    return small + [reference_symmetric_table(3), reference_symmetric_table(4)]
+
+
+def random_group_table(rng, small) -> list[list[int]]:
+    """One of the small group tables, or a product of two of them, of order
+    at most 24, relabelled by a random permutation half the time."""
+    mult = rng.choice(small)
+    if rng.randrange(3) == 0:
+        mult = _product_table(mult, rng.choice([h for h in small
+                                                if len(h) * len(mult) <= 24]))
+    if rng.randrange(2):
+        n = len(mult)
+        sigma = rng.sample(range(n), n)
+        relabelled = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                relabelled[sigma[x]][sigma[y]] = sigma[mult[x][y]]
+        mult = relabelled
+    return mult
+
+
+def near_group(rng, mult) -> list[list[int]]:
+    """The table with two entries of one row swapped: the row stays a
+    permutation, and the table is mostly not associative (and sometimes
+    loses its identity or an inverse)."""
+    t = [list(row) for row in mult]
+    if len(t) > 1:
+        a = rng.randrange(len(t))
+        b1, b2 = rng.sample(range(len(t)), 2)
+        t[a][b1], t[a][b2] = t[a][b2], t[a][b1]
+    return t
+
+
+def suite_group_generators(rng, cases=PROPERTY_CASES) -> int:
+    """The group-layer constructors against their per-cell reference code:
+    symmetric_group(k) for k <= 5, and on seeded groups and near-groups
+    (one row with two entries swapped) the identity and inverses FiniteGroup
+    finds or the message it raises, check_group against the full scan, and
+    on genuine groups the conjugation table."""
+    failures = sum(symmetric_group(k).mult != tuple(map(tuple, reference_symmetric_table(k)))
+                   for k in range(1, 6))
+    small = small_group_tables()
+    for _ in range(cases):
+        mult = random_group_table(rng, small)
+        genuine = rng.randrange(2)
+        if not genuine:
+            mult = near_group(rng, mult)
+        try:
+            g = FiniteGroup(mult)
+        except ValueError as exc:
+            failures += str(exc) != reference_identity_and_inverses(mult)
+            continue
+        ok = (g.identity, g.inv) == reference_identity_and_inverses(mult)
+        ok = ok and check_group(g) == group._first_nonassociative(g)
+        ok = ok and (not genuine or conj_quandle(g).table
+                     == tuple(map(tuple, reference_conj_table(g))))
+        failures += not ok
+    return failures
+
+
 def suite_constructor_axioms(rng, cases=PROPERTY_CASES) -> int:
     """Every constructor output passes the three quandle axioms."""
     failures = 0
@@ -515,6 +628,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("refinement-chain", suite_refinement_chain),
     ("image-tower", suite_image_tower),
     ("axiom-generators", suite_axiom_generators),
+    ("group-generators", suite_group_generators),
 )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,66 @@ class TestTableLoading:
         assert code == 3 and out == ""
         assert err == ("invalid table: right translations are not bijections "
                        "(right-invertibility fails at (1, 2, 1))\n")
+        # two trivial groups under the same op
+        trivial = {"mult": [[0]], "identity": 0}
+        mcq = tmp_path / "m.json"
+        mcq.write_text(json.dumps({"groups": [trivial, trivial], "op": [[1, 0], [1, 1]]}))
+        argv[1:4] = ["--mcq", str(mcq)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("invalid table: right translations are not bijections "
+                       "(right-invertibility fails at (0, 1, 0))\n")
+
+    GROUP = {"mult": [[0, 1], [1, 0]], "identity": 0}
+
+    @pytest.mark.parametrize("flag,data,message", [
+        ("--table", {"table": [["a"]]}, "'table' entries must be integers"),
+        ("--table", {"table": [[True]]}, "'table' entries must be integers"),
+        ("--table", {"table": [[0.0]]}, "'table' entries must be integers"),
+        ("--table", {"table": [5]}, "'table' must be a list of lists"),
+        ("--table", {"table": 5}, "'table' must be a list of lists"),
+        ("--table", {"table": [[0]], "labels": 5}, "'labels' must be a list"),
+        ("--group", {"mult": [["a"]]}, "'mult' entries must be integers"),
+        ("--group", {"mult": [[0, 1], [1, 0]], "identity": "x"}, "'identity' must be an integer"),
+        ("--group", {"mult": [[0, 1], [1, 0]], "identity": 5},
+         "declared identity is not an identity"),
+        ("--mcq", {"groups": [{"mult": [["a"]]}], "op": [[0]]}, "'mult' entries must be integers"),
+        ("--mcq", {"groups": [GROUP], "op": [[0, "1"], [1, 0]]}, "'op' entries must be integers"),
+        ("--mcq", {"groups": 5, "op": [[0]]}, "'groups' must be a list"),
+    ], ids=["table-text", "table-bool", "table-float", "table-row-int", "table-int",
+            "table-labels", "group-text", "group-identity-text", "group-identity-range",
+            "mcq-group-text", "mcq-op-text", "mcq-groups-int"])
+    @pytest.mark.parametrize("unchecked", [False, True], ids=["checked", "unchecked"])
+    def test_malformed_files_are_input_errors(self, capsys, tmp_path, flag, data, message,
+                                              unchecked):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = ["components", flag, str(path)] + ["--conj"] * (flag == "--group")
+        code, out, err = run(capsys, *argv, *["--unchecked"] * unchecked)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_checked_group_file_of_order_720(self, capsys, tmp_path):
+        # S6 relabelled by a seeded shuffle; the loader checks associativity
+        g = symmetric_group(6).to_json()
+        sigma = random.Random(6).sample(range(720), 720)
+        mult = [[0] * 720 for _ in range(720)]
+        for x, row in enumerate(g["mult"]):
+            for y, xy in enumerate(row):
+                mult[sigma[x]][sigma[y]] = sigma[xy]
+        labels = [None] * 720
+        for x, label in enumerate(g["labels"]):
+            labels[sigma[x]] = label
+        path = tmp_path / "s6.json"
+        path.write_text(json.dumps({"size": 720, "mult": mult, "identity": sigma[0],
+                                    "labels": labels}))
+        code, out, _ = run(capsys, "components", "--group", str(path), "--conj", "--format", "json")
+        assert code == 0
+        # the classes in the original indices
+        blocks = sorted(sorted(sigma.index(x) for x in block)
+                        for block in json.loads(out)["blocks"])
+        code, out, _ = run(capsys, "components", "--symmetric", "6", "--conj", "--format", "json")
+        assert code == 0 and blocks == json.loads(out)["blocks"]
+        assert len(blocks) == 11
 
 
 class TestAlexanderSources:

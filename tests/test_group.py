@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quandles import (
@@ -12,6 +14,9 @@ from quandles import (
     symmetric_group,
     trivial_quandle,
 )
+from quandles.group import _first_nonassociative
+from quandles.verify import (near_group, random_group_table, reference_identity_and_inverses,
+                             reference_symmetric_table, small_group_tables)
 
 
 class TestSymmetricGroup:
@@ -40,6 +45,9 @@ class TestSymmetricGroup:
         assert "(1 2)" in g.labels
         assert "(1 2 3 4)" in g.labels
         assert "(1 2)(3 4)" in g.labels
+
+    def test_table_equals_the_per_cell_composition(self):
+        assert symmetric_group(6).mult == tuple(map(tuple, reference_symmetric_table(6)))
 
     def test_composition_order_applies_left_first(self):
         g = symmetric_group(3)
@@ -125,3 +133,36 @@ class TestJson:
             FiniteGroup.from_json({"mult": [[0, 1]]})
         with pytest.raises(ValueError):
             FiniteGroup([[0, 1], [1, 1]])  # element 1 has no inverse
+
+
+class TestGroupChecks:
+    def test_check_group_equals_the_full_scan_on_near_groups(self):
+        rng = random.Random(2024)
+        small = small_group_tables()
+        checked = failing = 0
+        while checked < 500:
+            mult = near_group(rng, random_group_table(rng, small))
+            try:
+                g = FiniteGroup(mult)
+            except ValueError:
+                continue
+            checked += 1
+            failing += check_group(g) is not None
+            assert check_group(g) == _first_nonassociative(g)
+        assert failing > 400
+
+    def test_inverse_search_passes_a_one_sided_identity_entry(self):
+        # 1 * 2 == 0 but 2 * 1 == 3: the inverse of 1 is its next identity entry, 3
+        mult = [
+            [0, 1, 2, 3],
+            [1, 2, 0, 0],
+            [2, 3, 0, 1],
+            [3, 0, 1, 0],
+        ]
+        g = FiniteGroup(mult)
+        assert g.inv == (0, 3, 2, 1)
+        assert (g.identity, g.inv) == reference_identity_and_inverses(mult)
+        assert check_group(g) == "associativity fails at (1, 1, 1)"
+        mult[3][1] = 2
+        with pytest.raises(ValueError, match="element 1 has no inverse"):
+            FiniteGroup(mult)
