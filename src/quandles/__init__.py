@@ -76,7 +76,9 @@ from .mcq import (
     MCQ,
     McqDecomposition,
     McqViolation,
+    associated_decomposition,
     associated_mcq,
+    check_associated_axioms,
     check_mcq_axioms,
     conjugation_mcq,
     generated_sub_mcq,

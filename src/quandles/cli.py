@@ -19,9 +19,10 @@ from .alexander import (alexander_decomposition, alexander_quandle, component_id
 from .decomposition import maximal_decomposition
 from .group import FiniteGroup, conj_quandle, cyclic_group, symmetric_group
 from .laurent import ParseError, format_poly, parse_poly
-from .mcq import MCQ, associated_mcq, check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition
+from .mcq import (MCQ, associated_decomposition, associated_mcq, check_associated_axioms,
+                  check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition, pair_labeler)
 from .quandle import (FiniteQuandle, InvalidTable, check_axioms, check_columns,
-                      connected_components, find_isomorphism)
+                      connected_components, find_isomorphism, type_of)
 from .tmodule import UnsupportedPresentation, build, parse_ideal
 
 EXIT_OK = 0
@@ -112,17 +113,16 @@ def _resolve_sources(args, count=1):
             if bad is not None:
                 raise InvalidTable("right translations are not bijections "
                                    f"({bad.axiom} fails at {bad.witness})")
-        if isinstance(obj, FiniteQuandle) and args.assoc:
-            obj = associated_mcq(obj)
         out.append(obj)
     return out
 
 
 def _alexander_module(args):
-    """The module of a lone --alexander or --dihedral source without --assoc,
-    whose decomposition needs no table; None for every other source."""
+    """The module of a lone --alexander or --dihedral source, whose
+    decomposition and type need no table, with or without --assoc; None for
+    every other source."""
     sources = getattr(args, "sources", None) or ()
-    if len(sources) != 1 or args.assoc:
+    if len(sources) != 1:
         return None
     kind, value = sources[0]
     if kind == "alexander":
@@ -161,7 +161,12 @@ def _blocks_text(label, blocks, header):
 
 def _cmd_axioms(args):
     obj = _resolve_sources(args)[0]
-    bad = check_mcq_axioms(obj) if isinstance(obj, MCQ) else check_axioms(obj)
+    if isinstance(obj, MCQ):
+        bad = check_mcq_axioms(obj)
+    elif args.assoc:
+        bad = check_associated_axioms(obj)
+    else:
+        bad = check_axioms(obj)
     if bad is None:
         _emit(args, {"ok": True}, lambda: "ok")
         return EXIT_OK
@@ -171,20 +176,23 @@ def _cmd_axioms(args):
 
 
 def _cmd_components(args):
+    # with --assoc, the index orbits of the associated structure are the
+    # quandle's components (see mcq.associated_decomposition)
     module = _alexander_module(args)
     obj = None if module is not None else _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
         part = lambda_orbits(obj)
-        header = f"{len(part)} index orbit(s):"
-        _emit(args, {"blocks": part.to_json()}, lambda: _blocks_text(str, part.blocks, header))
-        return EXIT_OK
-    if module is not None:
+    elif module is not None:
         part = alexander_decomposition(module).levels[1]
     else:
         part = connected_components(obj)
-    header = f"{len(part)} connected component(s), sizes {list(part.sizes())}:"
-    _emit(args, {"blocks": part.to_json()},
-          lambda: _blocks_text(_labeler(module, obj), part.blocks, header))
+    if isinstance(obj, MCQ) or args.assoc:
+        header = f"{len(part)} index orbit(s):"
+        text = lambda: _blocks_text(str, part.blocks, header)
+    else:
+        header = f"{len(part)} connected component(s), sizes {list(part.sizes())}:"
+        text = lambda: _blocks_text(_labeler(module, obj), part.blocks, header)
+    _emit(args, {"blocks": part.to_json()}, text)
     return EXIT_OK
 
 
@@ -192,22 +200,12 @@ def _cmd_maxdecomp(args):
     module = _alexander_module(args)
     obj = None if module is not None else _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
-        dec = maximal_mcq_decomposition(obj)
-        payload = dec.to_json()
-
-        def text():
-            lines = [f"depth: {dec.index_tree.depth}"]
-            for k, level in enumerate(dec.index_tree.levels):
-                lines.append(f"level {k}: {len(level)} index block(s), sizes {list(level.sizes())}")
-            lines.append(_blocks_text(obj.label, dec.carrier_partition.blocks, "carrier blocks:"))
-            return "\n".join(lines)
-
-        _emit(args, payload, text)
-        return EXIT_OK
-    if module is not None:
-        dec = alexander_decomposition(module)
-    else:
-        dec = maximal_decomposition(obj)
+        return _emit_mcq_decomposition(args, maximal_mcq_decomposition(obj), lambda: obj.label)
+    dec = alexander_decomposition(module) if module is not None else maximal_decomposition(obj)
+    if args.assoc:
+        m = module.t_order if module is not None else type_of(obj)
+        return _emit_mcq_decomposition(args, associated_decomposition(dec, m),
+                                       lambda: pair_labeler(_labeler(module, obj), m))
 
     def text():
         lines = [f"depth: {dec.depth}"]
@@ -220,9 +218,24 @@ def _cmd_maxdecomp(args):
     return EXIT_OK
 
 
+def _emit_mcq_decomposition(args, dec, labeler):
+    """Print an MCQ decomposition; labeler() gives the carrier labels, and is
+    called for text output only."""
+
+    def text():
+        lines = [f"depth: {dec.index_tree.depth}"]
+        for k, level in enumerate(dec.index_tree.levels):
+            lines.append(f"level {k}: {len(level)} index block(s), sizes {list(level.sizes())}")
+        lines.append(_blocks_text(labeler(), dec.carrier_partition.blocks, "carrier blocks:"))
+        return "\n".join(lines)
+
+    _emit(args, dec.to_json(), text)
+    return EXIT_OK
+
+
 def _cmd_iso(args):
     q1, q2 = _resolve_sources(args, count=2)
-    if isinstance(q1, MCQ) or isinstance(q2, MCQ):
+    if args.assoc or isinstance(q1, MCQ) or isinstance(q2, MCQ):
         raise SystemExit2("iso compares quandles, not MCQs", EXIT_PARSE)
     phi = find_isomorphism(q1, q2)
     if phi is None:
@@ -313,10 +326,7 @@ def _cmd_prop56(args):
 
 def _cmd_assoc(args):
     obj = _resolve_sources(args)[0]
-    if isinstance(obj, MCQ):
-        x = obj
-    else:
-        x = associated_mcq(obj)
+    x = obj if isinstance(obj, MCQ) else associated_mcq(obj)
     payload = x.to_json()
 
     def text():

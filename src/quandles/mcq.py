@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
-from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, check_json_fields,
-                      closure, generators, orbits, type_of)
+from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, check_axioms,
+                      check_json_fields, closure, generators, orbits, type_of)
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,37 @@ def associated_mcq(q: FiniteQuandle) -> MCQ:
             base[h::m] = map(firsts.__getitem__, power)
             power = list(map(getitem, map(q.table.__getitem__, power), ys))
         op.extend(tuple(map(shift.__getitem__, base)) for shift in shifts)
-    labels = [f"({q.label(xx)};{g})" for xx in ys for g in range(m)]
+    labels = list(map(pair_labeler(q.label, m), carrier))
     return MCQ((cyclic_group(m),) * n, op, labels)
+
+
+def pair_labeler(label, m: int):
+    """Labels of the associated structure's carrier from the base labels:
+    index x m + g, the pair (x, g), reads "(label(x);g)"."""
+    return lambda i: f"({label(i // m)};{i % m})"
+
+
+def check_associated_axioms(q: FiniteQuandle) -> Optional[McqViolation]:
+    """check_mcq_axioms(associated_mcq(q)), building the carrier only when
+    q is not a quandle.
+
+    If Q is a quandle of type m, Q x Z_m satisfies all four axioms, with
+    (x, g) * (y, h) = (x *^h y, g) and S_y^h the h-th power of x -> x * y:
+    - conjugation: inside the abelian group {x} x Z_m it is trivial, and
+      (x, g) * (x, h) = (x *^h x, g) = (x, g) by idempotency;
+    - action: the identity (y, 0) acts trivially, and the product
+      (y, h)(y, k) = (y, h + k) acts by S_y^(h+k) = S_y^k S_y^h, exponents
+      read mod m, since S_y^m = id;
+    - self-distributivity: S_z S_y = S_(y * z) S_z in Q (maps composed
+      right to left) gives S_z^k S_y^h = S_(y *^k z)^h S_z^k, which is
+      ((x, g) * (y, h)) * (z, k) = ((x, g) * (z, k)) * ((y, h) * (z, k));
+    - equivariance: (y, h + k) * (z, l) = (y *^l z, h + k) is the product
+      of (y *^l z, h) and (y *^l z, k), in one group.
+    The converse fails: a type-1 table with non-bijective columns can pass
+    the four axioms while it fails check_axioms, so on failure the witness
+    comes from the built structure.
+    """
+    return None if check_axioms(q) is None else check_mcq_axioms(associated_mcq(q))
 
 
 def lambda_orbits(x: MCQ, lambda_subset: Iterable[int] | None = None) -> Partition:
@@ -341,3 +370,19 @@ def maximal_mcq_decomposition(x: MCQ) -> McqDecomposition:
         [i for lam in block for i in x.group_range(lam)] for block in tree.final.blocks
     )
     return McqDecomposition(tree, carrier)
+
+
+def associated_decomposition(dec: Decomposition, m: int) -> McqDecomposition:
+    """maximal_mcq_decomposition(associated_mcq(q)) from dec, the maximal
+    decomposition of q, and m = type_of(q), with no carrier table.
+
+    In the associated structure (lam, 0) * (y, h) = (lam *^h y, 0), so the
+    index orbits of a block are its orbits under the powers of S_y for y in
+    the block.  Once the columns are bijections these powers generate the
+    same permutation group as the S_y themselves, whose orbits are
+    connected_components(q, block).  Both towers start from the whole set
+    and refine block by block, so the index tree is dec itself, and each
+    final block expands to its pairs x m + g.
+    """
+    carrier = Partition([x * m + g for x in block for g in range(m)] for block in dec.final.blocks)
+    return McqDecomposition(dec, carrier)

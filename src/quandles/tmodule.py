@@ -394,6 +394,21 @@ class FiniteTModule:
     def t_inv_act(self, x):
         return self._apply(self.t_inverse_matrix, x)
 
+    @property
+    def t_order(self) -> int:
+        """Least m >= 1 with t^m x = x for every x in M, found by moving the
+        basis vectors at most m times.  It is the type of the Alexander
+        quandle, since S_b^k(x) = t^k x + (1 - t^k) b is the identity for
+        every b exactly when t^k is."""
+        basis = [tuple(int(i == j) % d for j, d in enumerate(self.invariant_factors))
+                 for i in range(self.rank)]
+        images = [self.t_act(e) for e in basis]
+        m = 1
+        while images != basis:
+            images = [self.t_act(v) for v in images]
+            m += 1
+        return m
+
     def eval_one_class(self, x) -> int:
         """Residue of the representative polynomial at t = 1, mod the orbit gcd."""
         return sum(w * v for w, v in zip(self.eval_vector, x)) % self.eval_modulus

@@ -24,7 +24,9 @@ from .laurent import ONE_MINUS_T, LaurentPoly, split_one_minus_t, syzygy_basis
 from .intmat import in_row_span
 from .mcq import (
     MCQ,
+    associated_decomposition,
     associated_mcq,
+    check_associated_axioms,
     check_mcq_axioms,
     generated_sub_mcq,
     is_sub_mcq,
@@ -619,6 +621,32 @@ def suite_axiom_generators(rng, cases=PROPERTY_CASES) -> int:
     return failures
 
 
+def suite_assoc_tower(rng, cases=PROPERTY_CASES) -> int:
+    """The associated structure answered from the base quandle agrees with
+    the built carrier, on quandles and near-quandles of carrier at most 36:
+    the maximal decomposition is the quandle's tower with final blocks x Z_m,
+    and the axiom check gives the same verdict and witness.  The type of an
+    Alexander quandle is the order of t on its module."""
+    failures = 0
+    for _ in range(cases):
+        while True:
+            q = _random_quandle(rng, max_size=12)
+            if rng.randrange(2):
+                q = near_quandle(rng, q)
+            m = type_of(q)
+            if q.size * m <= 36:
+                break
+        x = associated_mcq(q)
+        module = _random_module(rng)
+        ok = (associated_decomposition(maximal_decomposition(q), m)
+              == maximal_mcq_decomposition(x))
+        ok = ok and check_associated_axioms(q) == check_mcq_axioms(x)
+        ok = ok and module.t_order == type_of(alexander_quandle(module).quandle)
+        if not ok:
+            failures += 1
+    return failures
+
+
 PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("constructor-axioms", suite_constructor_axioms),
     ("split-identity", suite_split_identity),
@@ -629,6 +657,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("image-tower", suite_image_tower),
     ("axiom-generators", suite_axiom_generators),
     ("group-generators", suite_group_generators),
+    ("assoc-tower", suite_assoc_tower),
 )
 
 

@@ -9,7 +9,10 @@ import pytest
 
 from quandles import alexander_quandle, build, dihedral, parse_ideal, symmetric_group
 from quandles.cli import main
+from quandles.decomposition import maximal_decomposition
 from quandles.group import conj_quandle
+from quandles.mcq import MCQ, associated_mcq
+from quandles.quandle import FiniteQuandle, type_of
 
 
 def run(capsys, *argv):
@@ -290,6 +293,121 @@ class TestAlexanderSources:
         # the table path of another verb reports the same
         if len(argv) == 2:
             assert run(capsys, "axioms", *argv) == (code, "", err)
+
+
+def _refuse_carrier(*args, **kwargs):
+    raise AssertionError("a carrier table was built")
+
+
+class TestAssociatedSources:
+    """components, maxdecomp and axioms with --assoc answer from the base
+    quandle; the output must match the built structure loaded with --mcq,
+    byte for byte."""
+
+    SOURCES = ["dihedral", "rank-1", "rank-2", "trivial-ring", "conj", "table", "group"]
+
+    @staticmethod
+    def source(tmp_path, name):
+        """(argv, base quandle) for one source kind."""
+        if name == "table":
+            q = alexander_quandle(build(parse_ideal("9; t+2"))).quandle
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps(q.to_json()))
+            return ["--table", str(path)], q
+        if name == "group":
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(symmetric_group(3).to_json()))
+            return ["--group", str(path), "--conj"], conj_quandle(symmetric_group(3))
+        if name == "conj":
+            return ["--symmetric", "4", "--conj"], conj_quandle(symmetric_group(4))
+        if name == "dihedral":
+            return ["--dihedral", "6"], dihedral(6).quandle
+        ideal = {"rank-1": "7; t+4", "rank-2": "6; t^2+t+1", "trivial-ring": "1; t+1"}[name]
+        return ["--alexander", ideal], alexander_quandle(build(parse_ideal(ideal))).quandle
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "axioms"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_matches_the_built_structure(self, capsys, tmp_path, verb, fmt, name):
+        argv, q = self.source(tmp_path, name)
+        path = tmp_path / "mcq.json"
+        path.write_text(json.dumps(associated_mcq(q).to_json()))
+        direct = run(capsys, verb, *argv, "--assoc", "--format", fmt)
+        built = run(capsys, verb, "--mcq", str(path), "--format", fmt,
+                    *["--unchecked"] * (verb == "axioms"))
+        assert direct == built
+        assert direct[0] == 0 and direct[1] and direct[2] == ""
+
+    def test_text_of_the_dihedral_quandle_of_order_four(self, capsys):
+        # type 2: the pair (x, g) is carrier index 2x + g, labeled (x;g)
+        assert run(capsys, "components", "--dihedral", "4", "--assoc") == (0, (
+            "2 index orbit(s):\n"
+            "  {0, 2}\n"
+            "  {1, 3}\n"), "")
+        assert run(capsys, "maxdecomp", "--dihedral", "4", "--assoc") == (0, (
+            "depth: 2\n"
+            "level 0: 1 index block(s), sizes [4]\n"
+            "level 1: 2 index block(s), sizes [2, 2]\n"
+            "level 2: 4 index block(s), sizes [1, 1, 1, 1]\n"
+            "level 3: 4 index block(s), sizes [1, 1, 1, 1]\n"
+            "carrier blocks:\n"
+            "  {(0;0), (0;1)}\n"
+            "  {(1;0), (1;1)}\n"
+            "  {(2;0), (2;1)}\n"
+            "  {(3;0), (3;1)}\n"), "")
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "axioms"])
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_checked_sources_build_no_carrier(self, capsys, tmp_path, monkeypatch, verb, name):
+        argv, _ = self.source(tmp_path, name)
+        monkeypatch.setattr("quandles.cli.associated_mcq", _refuse_carrier)
+        monkeypatch.setattr(MCQ, "__init__", _refuse_carrier)
+        code, out, err = run(capsys, verb, *argv, "--assoc", "--format", "json")
+        assert code == 0 and out and err == ""
+
+    def test_a_failing_unchecked_table_still_reports_the_built_witness(self, capsys, tmp_path):
+        # bijective columns, not idempotent: the witness is the structure's own
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"size": 2, "table": [[1, 0], [0, 1]]}))
+        code, out, err = run(capsys, "axioms", "--table", str(path), "--unchecked", "--assoc")
+        assert (code, err) == (3, "")
+        q = FiniteQuandle([[1, 0], [0, 1]])
+        mcq = tmp_path / "m.json"
+        mcq.write_text(json.dumps(associated_mcq(q).to_json()))
+        assert run(capsys, "axioms", "--mcq", str(mcq), "--unchecked") == (code, out, err)
+        assert out.startswith("violation: conjugation")
+
+    def test_maxdecomp_of_a_carrier_too_large_to_tabulate(self, capsys):
+        # Conj(S6) has type 60, so its carrier is 43,200 and its table 1.9e9 cells
+        q = conj_quandle(symmetric_group(6))
+        assert type_of(q) == 60
+        dec = maximal_decomposition(q)
+        code, out, err = run(capsys, "maxdecomp", "--symmetric", "6", "--conj", "--assoc",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["depth"] == dec.depth
+        assert data["levels"] == [level.to_json() for level in dec.levels]
+        expected = sorted(sorted(x * 60 + g for x in block for g in range(60))
+                          for block in dec.final.blocks)
+        assert data["carrier_blocks"] == expected
+        assert sum(map(len, expected)) == 43200
+
+    def test_iso_refuses_before_converting(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("quandles.cli.associated_mcq", _refuse_carrier)
+        monkeypatch.setattr(MCQ, "__init__", _refuse_carrier)
+        refusal = (2, "", "error: iso compares quandles, not MCQs\n")
+        assert run(capsys, "iso", "--symmetric", "5", "--conj", "--dihedral", "3",
+                   "--assoc") == refusal
+        assert run(capsys, "iso", "--dihedral", "3", "--dihedral", "3", "--assoc") == refusal
+        # errors in either source come first
+        assert run(capsys, "iso", "--dihedral", "3", "--dihedral", "0", "--assoc") == (
+            2, "", "error: order must be positive\n")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"size": 2, "table": [[1, 0], [1, 1]]}))
+        assert run(capsys, "iso", "--dihedral", "2", "--table", str(path), "--unchecked",
+                   "--assoc") == (3, "", "invalid table: right translations are not bijections "
+                                         "(right-invertibility fails at (0, 1, 0))\n")
 
 
 class TestDeterminism:

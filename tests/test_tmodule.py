@@ -147,6 +147,19 @@ class TestOperations:
                 (m.eval_one_class(x) + m.eval_one_class(y)) % m.eval_modulus
             assert m.eval_one_class(m.t_act(x)) == m.eval_one_class(x)
 
+    @pytest.mark.parametrize("text,order", [
+        ("1; t+1", 1), ("2; t+1", 1), ("7; t+3", 3), ("7; t+4", 6),
+    ])
+    def test_t_order(self, text, order):
+        # t acts as -3 = 4 and -4 = 3 mod 7, of multiplicative orders 3 and 6
+        assert build(parse_ideal(text)).t_order == order
+
+    def test_t_order_of_a_rank_two_module(self, six_cubic):
+        m = six_cubic.module
+        # t^3 - 1 = (t - 1)(t^2 + t + 1) vanishes, and t itself is no identity
+        assert m.t_order == 3
+        assert all(m.t_act(m.t_act(m.t_act(x))) == x for x in m.elements())
+
 
 class TestOneMinusTImage:
     def test_trivial(self):
