@@ -37,18 +37,16 @@ def alexander_quandle(module: FiniteTModule) -> AlexanderQuandle:
     """Tabulate a * b = t a + (1 - t) b over the module elements.
 
     Elements are indexed in the module's enumeration order and labeled with
-    the module's labels, so tables and reports are deterministic.
+    the module's labels, so tables and reports are deterministic.  Row a is
+    the translate of the columns of (1 - t) b by t a, in index space.
     """
-    elems = module.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    timg = [module.t_act(e) for e in elems]
-    delta = [module.add(e, module.neg(timg[i])) for i, e in enumerate(elems)]
-    table = [
-        [index[module.add(ta, delta[j])] for j in range(len(elems))]
-        for ta in timg
-    ]
-    labels = [module.label(e) for e in elems]
-    return AlexanderQuandle(module, FiniteQuandle(table, labels), module.presentation)
+    if module.rank == 0:
+        table = [[0]]
+    else:
+        delta = module.coordinate_columns(module.one_minus_t_rows())
+        table = [module.translate(ta, delta)
+                 for ta in zip(*module.coordinate_columns(module.t_matrix))]
+    return AlexanderQuandle(module, FiniteQuandle(table, module.labels()), module.presentation)
 
 
 def alexander_decomposition(module: FiniteTModule) -> Decomposition:
@@ -59,30 +57,31 @@ def alexander_decomposition(module: FiniteTModule) -> Decomposition:
     I_{k+1} = (1 - t) I_k, and the tower stops at the first k with
     I_k = I_{k+1}.  Indices are positions in module.elements(), as in
     alexander_quandle, so the result equals maximal_decomposition of that
-    table.  The cost is O(order * (depth + 2)) module operations.
+    table.  Each coset is one translate of the columns of I_k, so the cost
+    is O(rank * order * (depth + 2)) C-level steps.
     """
-    elems = module.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    add = module.add
-    one_minus_t = [index[add(e, module.neg(module.t_act(e)))] for e in elems]
-    whole = range(len(elems))
-    image = whole
-    levels = [Partition([whole])]
+    coords = module.coordinate_columns()
+    one_minus_t = module.translate(module.zero(),
+                                   module.coordinate_columns(module.one_minus_t_rows()))
+    n = module.order
+    image = range(n)
+    levels = [Partition([image])]
     while True:
         # I_{k+1} lies inside I_k, so equal sizes mean equal subgroups
-        smaller = {one_minus_t[i] for i in image}
+        smaller = set(map(one_minus_t.__getitem__, image))
         if len(smaller) == len(image):
             break
         image = smaller
-        sub = [elems[h] for h in image]
-        seen = [False] * len(elems)
+        sub = [list(map(col.__getitem__, image)) for col in coords]
+        seen = bytearray(n)
         blocks = []
-        for x in whole:
-            if not seen[x]:
-                block = [index[add(elems[x], h)] for h in sub]
-                for y in block:
-                    seen[y] = True
-                blocks.append(block)
+        x = 0
+        while x >= 0:
+            block = module.translate([col[x] for col in coords], sub)
+            for y in block:
+                seen[y] = 1
+            blocks.append(block)
+            x = seen.find(0, x + 1)
         levels.append(Partition(blocks))
     levels.append(levels[-1])
     return Decomposition(tuple(levels), len(levels) - 2, levels[-1])

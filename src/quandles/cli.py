@@ -3,8 +3,8 @@
 Verbs: axioms, components, maxdecomp, iso, build, theory, prop56, assoc,
 verify.  Sources are given by flags; outputs are deterministic text or JSON.
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 axiom
-violation, 4 unsupported presentation, 141 (128 + SIGPIPE) output closed by
-its reader.
+violation, 4 unsupported presentation, 5 resource limit (out of memory or
+recursion depth), 141 (128 + SIGPIPE) output closed by its reader.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_AXIOMS = 3
 EXIT_UNSUPPORTED = 4
+EXIT_RESOURCE = 5
 EXIT_BROKEN_PIPE = 141
 
 _QUANDLE_VERBS = ("axioms", "components", "maxdecomp", "iso", "assoc")
@@ -488,6 +489,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (MemoryError, RecursionError) as exc:
+        # last resort: the input outgrew the memory or the stack
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: resource limit: {type(exc).__name__}{detail}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _mixed_radix
+from itertools import product as _mixed_radix, repeat, starmap
+from operator import add as _add
 
 from .intmat import (
     hnf,
@@ -345,6 +346,12 @@ class FiniteTModule:
     Elements are tuples with entry i ranging over invariant_factors[i]; the
     empty tuple is the only element of the trivial module.  Immutable after
     construction; all operations are pure.
+
+    Index space: elements() is in lexicographic mixed-radix order, so the
+    index of x is sum_i x_i s_i with stride s_i = prod_{j > i} d_j.  A list
+    of elements can be kept as coordinate columns (column i holds every
+    x_i), and coordinate_columns and translate work on whole columns with
+    C-level maps, never a tuple per element.
     """
 
     def __init__(self, presentation, eval_modulus, invariant_factors, t_rows,
@@ -362,6 +369,7 @@ class FiniteTModule:
         self.labels_are_polynomials = labels_are_polynomials
         self.order = math.prod(self.invariant_factors)
         self._element_list = None
+        self._cycle_lists = None
 
     @property
     def rank(self) -> int:
@@ -409,13 +417,81 @@ class FiniteTModule:
             m += 1
         return m
 
+    def _cycles(self):
+        """Per coordinate, range(d_i) twice over and the same scaled by the
+        stride s_i: entry v < 2 d_i of either is v mod d_i, as a coordinate
+        or as its share of the index.  In rank 2 and up also range(order),
+        to read summed indices back as shared int objects.  Built on first
+        use, since a module may be far too large to enumerate."""
+        if self._cycle_lists is None:
+            plain, strided = [], []
+            stride = self.order
+            for d in self.invariant_factors:
+                stride //= d
+                plain.append(list(range(d)) * 2)
+                strided.append(list(range(0, d * stride, stride)) * 2 if stride > 1
+                               else plain[-1])
+            shared = list(range(self.order)) if self.rank > 1 else None
+            self._cycle_lists = plain, strided, shared
+        return self._cycle_lists
+
+    def coordinate_columns(self, rows=None) -> list[list[int]]:
+        """Coordinate columns of rows.x for every x in elements() order; of
+        the elements themselves when rows is None.
+
+        Since x = sum_j x_j e_j, the list over the first j + 1 coordinates is
+        each entry of the list over the first j plus each multiple
+        v (rows e_j), v < d_j, with the entry outermost, as in elements().
+        Every step is one C-level map per coordinate, so the cost is
+        O(rank * order).
+        """
+        rows = identity(self.rank) if rows is None else rows
+        plain = self._cycles()[0]
+        cols = []
+        for i, d in enumerate(self.invariant_factors):
+            col = [0]
+            for j, dj in enumerate(self.invariant_factors):
+                c = rows[i][j] % d
+                steps = map(d.__rmod__, range(0, c * dj, c)) if c else repeat(0, dj)
+                col = list(map(plain[i].__getitem__, starmap(_add, _mixed_radix(col, steps))))
+            cols.append(col)
+        return cols
+
+    def translate(self, x, cols) -> list[int]:
+        """Indices of x + y for the elements y given as coordinate columns.
+
+        Per coordinate one C-level map reduces x_i + y_i < 2 d_i through the
+        strided cycle, and the shares add up to the index.  In rank 0 the
+        only element is index 0.
+        """
+        _, strided, shared = self._cycles()
+        parts = [map(cycle.__getitem__, map(xi.__add__, col))
+                 for xi, cycle, col in zip(x, strided, cols)]
+        if not parts:
+            return [0]
+        out = parts[0]
+        for part in parts[1:]:
+            out = map(_add, out, part)
+        if shared is not None:
+            # each sum is a new int object; a table of n^2 of them would
+            # hold n^2 ints where n shared ones do
+            out = map(shared.__getitem__, out)
+        return list(out)
+
+    def one_minus_t_rows(self) -> list[list[int]]:
+        """The matrix of 1 - t, for coordinate_columns."""
+        return [[int(i == j) - v for j, v in enumerate(row)]
+                for i, row in enumerate(self.t_matrix)]
+
     def eval_one_class(self, x) -> int:
         """Residue of the representative polynomial at t = 1, mod the orbit gcd."""
         return sum(w * v for w, v in zip(self.eval_vector, x)) % self.eval_modulus
 
     def one_minus_t_image(self) -> list[tuple[int, ...]]:
         """The set {(1 - t) y : y in M}, deduplicated, in enumeration order."""
-        return sorted({self.add(x, self.neg(self.t_act(x))) for x in self.elements()})
+        image = self.translate(self.zero(), self.coordinate_columns(self.one_minus_t_rows()))
+        elems = self.elements()
+        return [elems[i] for i in sorted(set(image))]
 
     def reduce_poly(self, f: LaurentPoly) -> tuple[int, ...]:
         """Image of a Laurent polynomial in the module."""

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
-                        gcd_chain, orbit_count)
+                        dihedral_presentation, gcd_chain, orbit_count)
 from .group import (FiniteGroup, check_group, conj_quandle, conjugacy_classes, cyclic_group,
                     symmetric_group)
-from .decomposition import maximal_decomposition
+from .decomposition import Decomposition, maximal_decomposition
 from .laurent import ONE_MINUS_T, LaurentPoly, split_one_minus_t, syzygy_basis
 from .intmat import in_row_span
 from .mcq import (
@@ -460,6 +460,95 @@ def near_group(rng, mult) -> list[list[int]]:
     return t
 
 
+def reference_alexander_table(module) -> list[list[int]]:
+    """alexander_quandle(module)'s table one cell at a time from the element
+    tuples, t a + (1 - t) b looked up in an index dict, as reference code."""
+    elems = module.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    timg = [module.t_act(e) for e in elems]
+    delta = [module.add(e, module.neg(timg[i])) for i, e in enumerate(elems)]
+    return [[index[module.add(ta, d)] for d in delta] for ta in timg]
+
+
+def reference_one_minus_t_image(module) -> list[tuple[int, ...]]:
+    """module.one_minus_t_image() from the element tuples, as reference code."""
+    return sorted({module.add(x, module.neg(module.t_act(x))) for x in module.elements()})
+
+
+def reference_alexander_decomposition(module) -> Decomposition:
+    """alexander_decomposition(module) one element tuple at a time: the
+    cosets of I_{k+1} = (1 - t) I_k, each element added to every member of
+    I_k and looked up in an index dict, as reference code."""
+    elems = module.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    add = module.add
+    one_minus_t = [index[add(e, module.neg(module.t_act(e)))] for e in elems]
+    whole = range(len(elems))
+    image = whole
+    levels = [Partition([whole])]
+    while True:
+        smaller = {one_minus_t[i] for i in image}
+        if len(smaller) == len(image):
+            break
+        image = smaller
+        sub = [elems[h] for h in image]
+        seen = [False] * len(elems)
+        blocks = []
+        for x in whole:
+            if not seen[x]:
+                block = [index[add(elems[x], h)] for h in sub]
+                for y in block:
+                    seen[y] = True
+                blocks.append(block)
+        levels.append(Partition(blocks))
+    levels.append(levels[-1])
+    return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
+
+
+def random_index_module(rng, max_order=64):
+    """A module for the index-space checks: half the time a _random_module
+    draw (rank at most 2), otherwise the quotient by a random cubic, alone or
+    with a second generator (a multiple of the cubic, which leaves the
+    quotient as it is but not its coordinates, or a random polynomial), so
+    that ranks 0 to 3 and both polynomial and coordinate labels occur."""
+    if rng.randrange(2):
+        return _random_module(rng, max_order=max_order)
+    for _ in range(64):
+        coeffs = {e: rng.randint(-4, 4) for e in range(3)}
+        coeffs[3] = rng.randint(1, 3)
+        gens = [LaurentPoly(coeffs)]
+        extra = rng.randrange(3)
+        if extra == 1:
+            gens.append(rng.randint(1, 3) * gens[0])
+        elif extra == 2:
+            gens.append(_random_poly(rng, max_deg=2, span=1, coeff=4))
+        try:
+            module = build(IdealPresentation(rng.randint(2, 4), tuple(gens)))
+        except UnsupportedPresentation:
+            continue
+        if module.order <= max_order:
+            return module
+    return build(IdealPresentation(2, (LaurentPoly({0: 1, 1: 1, 3: 1}),)))
+
+
+def suite_alexander_index(rng, cases=PROPERTY_CASES) -> int:
+    """The index-space Alexander code against its per-element reference
+    code, on the dihedral modules of order 1 to 60 and on seeded modules of
+    rank 0 to 3: the table and its labels, the (1 - t)^k tower and the image
+    of 1 - t."""
+    modules = [build(dihedral_presentation(m)) for m in range(1, 61)]
+    modules += [random_index_module(rng) for _ in range(cases)]
+    failures = 0
+    for module in modules:
+        q = alexander_quandle(module).quandle
+        ok = q.table == tuple(map(tuple, reference_alexander_table(module)))
+        ok = ok and q.labels == tuple(module.label(e) for e in module.elements())
+        ok = ok and alexander_decomposition(module) == reference_alexander_decomposition(module)
+        ok = ok and module.one_minus_t_image() == reference_one_minus_t_image(module)
+        failures += not ok
+    return failures
+
+
 def suite_group_generators(rng, cases=PROPERTY_CASES) -> int:
     """The group-layer constructors against their per-cell reference code:
     symmetric_group(k) for k <= 5, and on seeded groups and near-groups
@@ -658,6 +747,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("axiom-generators", suite_axiom_generators),
     ("group-generators", suite_group_generators),
     ("assoc-tower", suite_assoc_tower),
+    ("alexander-index", suite_alexander_index),
 )
 
 

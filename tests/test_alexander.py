@@ -25,10 +25,11 @@ from quandles import (
     type_of,
 )
 from quandles.tmodule import IdealPresentation
-from quandles.verify import _random_module
+from quandles.verify import PROPERTY_CASES, _random_module, random_index_module
 
 NAMED_MODULES = ("1; t+1", "6; t^2+t+1", "64; t+1", "10; t^3+t+1", "12; t+5",
-                 "6; 2t+4; t^2+t+1", "8; t^2+1; 2t+2", "4; t+2")
+                 "6; 2t+4; t^2+t+1", "8; t^2+1; 2t+2", "4; t+2",
+                 "8; t^2+3", "16; t+3", "32; t^2+t+2")
 
 
 def _tower_grid():
@@ -290,3 +291,10 @@ class TestAlexanderDecomposition:
                 assert dec.depth == formula.depth
                 assert len(dec.final) == formula.block_count
                 assert set(dec.final.sizes()) == {formula.block_modulus}
+
+
+def test_index_suite_draws_cover_every_rank_and_label_kind():
+    rng = random.Random(12345)
+    kinds = {(m.rank, m.labels_are_polynomials)
+             for m in (random_index_module(rng) for _ in range(PROPERTY_CASES))}
+    assert kinds == {(rank, poly) for rank in range(4) for poly in (True, False)}

@@ -493,3 +493,32 @@ def test_a_reader_closing_stdout_ends_the_call_quietly_with_141():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+class TestResourceLimit:
+    """MemoryError and RecursionError end a call with one line on stderr and
+    exit 5, never a traceback; the errors are raised by patched callees,
+    since the test must not exhaust anything."""
+
+    @staticmethod
+    def _raise(exc):
+        def callee(*args, **kwargs):
+            raise exc
+        return callee
+
+    def test_recursion_in_the_isomorphism_search(self, capsys, monkeypatch):
+        import quandles.cli as cli
+
+        monkeypatch.setattr(cli, "find_isomorphism",
+                            self._raise(RecursionError("maximum recursion depth exceeded")))
+        assert run(capsys, "iso", "--dihedral", "3", "--dihedral", "3") == (
+            5, "", "error: resource limit: RecursionError: maximum recursion depth exceeded\n")
+
+    @pytest.mark.parametrize("argv", [["build", "6; t^2+t+1"],
+                                      ["components", "--alexander", "6; t^2+t+1"],
+                                      ["axioms", "--alexander", "6; t^2+t+1", "--format", "json"]])
+    def test_memory_in_the_module_build(self, capsys, monkeypatch, argv):
+        import quandles.cli as cli
+
+        monkeypatch.setattr(cli, "build", self._raise(MemoryError()))
+        assert run(capsys, *argv) == (5, "", "error: resource limit: MemoryError\n")

@@ -178,6 +178,60 @@ class TestOneMinusTImage:
         assert m.one_minus_t_image() == [(r,) for r in range(0, 12, 2)]
 
 
+INDEX_MODULES = ("1; t+1", "7; t+3", "9; t^2+1; 3t", "10; t^3+t+1")
+
+
+class TestIndexSpace:
+    """coordinate_columns and translate against the tuple operations."""
+
+    @pytest.mark.parametrize("text", INDEX_MODULES)
+    def test_columns_are_the_images_of_the_elements(self, text):
+        m = build(parse_ideal(text))
+        elems = m.elements()
+        one_minus_t = [m.add(x, m.neg(m.t_act(x))) for x in elems]
+        for rows, images in ((None, elems), (m.t_matrix, [m.t_act(x) for x in elems]),
+                             (m.one_minus_t_rows(), one_minus_t)):
+            cols = m.coordinate_columns(rows)
+            assert len(cols) == m.rank
+            assert all(len(col) == m.order for col in cols)
+            assert list(zip(*cols)) == (images if m.rank else [])
+
+    @pytest.mark.parametrize("text", INDEX_MODULES)
+    def test_translate_spot_rows(self, text):
+        m = build(parse_ideal(text))
+        elems = m.elements()
+        index = {x: i for i, x in enumerate(elems)}
+        delta = m.coordinate_columns(m.one_minus_t_rows())
+        tcols = m.coordinate_columns(m.t_matrix)
+        rng = random.Random(8)
+        for a in sorted(rng.sample(range(m.order), min(m.order, 12))) + [0, m.order - 1]:
+            ta = tuple(col[a] for col in tcols)
+            assert ta == m.t_act(elems[a])
+            expected = [index[m.add(ta, m.add(b, m.neg(m.t_act(b))))] for b in elems]
+            assert m.translate(ta, delta) == expected
+
+    @pytest.mark.parametrize("text", INDEX_MODULES)
+    def test_translate_a_subset(self, text):
+        m = build(parse_ideal(text))
+        elems = m.elements()
+        index = {x: i for i, x in enumerate(elems)}
+        coords = m.coordinate_columns()
+        rng = random.Random(9)
+        subset = rng.sample(range(m.order), min(m.order, 20))
+        sub = [[col[h] for h in subset] for col in coords]
+        for x in rng.sample(elems, min(m.order, 5)):
+            assert m.translate(x, sub) == (
+                [index[m.add(x, elems[h])] for h in subset] if m.rank else [0])
+
+
+    def test_translated_indices_share_one_int_per_element(self):
+        # n^2 table cells should hold n int objects, as dict lookups would
+        m = build(parse_ideal("10; t^3+t+1"))
+        delta = m.coordinate_columns(m.one_minus_t_rows())
+        cells = [v for x in m.elements()[::97] for v in m.translate(x, delta)]
+        assert len({id(v) for v in cells}) == len(set(cells)) == m.order
+
+
 class TestPipelineSoundness:
     def test_single_monic_generator_with_unit_constant(self):
         rng = random.Random(7)
