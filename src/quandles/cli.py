@@ -3,8 +3,9 @@
 Verbs: axioms, components, maxdecomp, iso, build, theory, prop56, assoc,
 verify.  Sources are given by flags; outputs are deterministic text or JSON.
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 axiom
-violation, 4 unsupported presentation, 5 resource limit (out of memory or
-recursion depth), 141 (128 + SIGPIPE) output closed by its reader.
+violation, 4 unsupported presentation, 5 resource limit (out of memory, of
+recursion depth, or of the machine-size integers that sizes and indices
+must fit), 141 (128 + SIGPIPE) output closed by its reader.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ EXIT_AXIOMS = 3
 EXIT_UNSUPPORTED = 4
 EXIT_RESOURCE = 5
 EXIT_BROKEN_PIPE = 141
-
-_QUANDLE_VERBS = ("axioms", "components", "maxdecomp", "iso", "assoc")
 
 
 class _Source(argparse.Action):
@@ -255,8 +254,9 @@ def _cmd_build(args):
         "order": module.order,
         "invariant_factors": list(module.invariant_factors),
         "component_count": module.eval_modulus,
-        "labels": module.labels(),
     }
+    if args.format == "json":  # text lists the labels only up to order 64
+        payload["labels"] = module.labels()
 
     def text():
         lines = [
@@ -489,8 +489,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (MemoryError, RecursionError) as exc:
-        # last resort: the input outgrew the memory or the stack
+    except (MemoryError, RecursionError, OverflowError) as exc:
+        # last resort: the input outgrew the memory, the stack or a C integer
         detail = f": {exc}" if str(exc) else ""
         print(f"error: resource limit: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -436,6 +436,7 @@ def subquandle(q: FiniteQuandle, elements: Iterable[int]) -> FiniteQuandle:
 
 
 def _profile(q: FiniteQuandle):
+    """Per element: component size, column cycle type, row fixed-point count."""
     comp = connected_components(q)
     size_of = {}
     for block in comp.blocks:
@@ -448,62 +449,65 @@ def _profile(q: FiniteQuandle):
     return out
 
 
+class _Mismatch(Exception):
+    """The partial map of find_isomorphism fails to extend."""
+
+
 def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int, ...]]:
     """A table-transporting bijection from q1 to q2, or None.
 
-    Backtracking over images in element-index order, pruned by per-element
-    invariants (component size, column cycle type, row fixed-point count).
-    The first map found in this canonical order is returned, so the result
-    is reproducible.
+    Backtracks over the images of q1's greedy generators g1 < g2 < ... (see
+    generators) in ascending order, pruned by the invariants of _profile, and
+    carries each pick along the closure, which sets or checks every product
+    phi(a * b) = phi(a) * phi(b).  Each element below g_k lies in the span of
+    the earlier picks, so the first map found is the lexicographically least.
     """
     if q1.size != q2.size:
         return None
     n = q1.size
-    p1 = _profile(q1)
-    p2 = _profile(q2)
+    p1, p2 = _profile(q1), _profile(q2)
     if sorted(p1) != sorted(p2):
         return None
-    candidates = [[v for v in range(n) if p2[v] == p1[k]] for k in range(n)]
     t1, t2 = q1.table, q2.table
     phi = [-1] * n
     used = [False] * n
+    members: list[int] = []  # mapped elements in closure order, the undo trail
 
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        for v in candidates[k]:
-            if used[v]:
-                continue
-            phi[k] = v
-            ok = True
-            for x in range(k + 1):
-                fx = phi[x]
-                z = t1[x][k]
-                if z <= k and t2[fx][v] != phi[z]:
-                    ok = False
-                    break
-                z = t1[k][x]
-                if z <= k and t2[v][fx] != phi[z]:
-                    ok = False
-                    break
-            if ok:
-                for x in range(k):
-                    row = t1[x]
-                    fx = phi[x]
-                    for y in range(k):
-                        if row[y] == k and t2[fx][phi[y]] != v:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                used[v] = False
-        phi[k] = -1
-        return False
+    def assign(z: int, v: int) -> None:
+        if phi[z] != v:
+            if phi[z] >= 0 or used[v] or p1[z] != p2[v]:
+                raise _Mismatch
+            phi[z] = v
+            used[v] = True
+            members.append(z)
 
-    if extend(0):
-        return tuple(phi)
+    def products(a: int, b: int) -> tuple:
+        # maps both products itself, so the closure only walks the pairs
+        assign(t1[a][b], t2[phi[a]][phi[b]])
+        assign(t1[b][a], t2[phi[b]][phi[a]])
+        return ()
+
+    def images(g: int):
+        # read lazily, against the images in use before g is picked
+        return (v for v in range(n) if not used[v] and p2[v] == p1[g])
+
+    gens = generators(range(n), (), _quandle_products(q1))
+    stack = [(images(gens[0]), 0)]  # per pick: its untried images, len(members) before it
+    while stack:
+        untried, mark = stack[-1]
+        for z in members[mark:]:
+            used[phi[z]] = False
+            phi[z] = -1
+        del members[mark:]
+        try:
+            assign(gens[len(stack) - 1], next(untried))
+            _close(members, set(), mark, products)
+        except StopIteration:  # every image of this pick was tried
+            stack.pop()
+            continue
+        except _Mismatch:
+            continue
+        if len(stack) == len(gens):
+            return tuple(phi)
+        stack.append((images(gens[len(stack)]), len(members)))
     return None

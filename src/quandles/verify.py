@@ -318,6 +318,24 @@ def near_quandle(rng, q: FiniteQuandle) -> FiniteQuandle:
     return FiniteQuandle(t, q.labels)
 
 
+def relabelled(rng, q: FiniteQuandle) -> FiniteQuandle:
+    """q carried along a random permutation p of its elements, so that p is
+    an isomorphism onto the result: p(a) * p(b) == p(a * b)."""
+    p = rng.sample(range(q.size), q.size)
+    t = [[0] * q.size for _ in range(q.size)]
+    for a, row in enumerate(q.table):
+        for b, ab in enumerate(row):
+            t[p[a]][p[b]] = p[ab]
+    return FiniteQuandle(t)
+
+
+def transports(phi, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
+    """Whether phi(a * b) == phi(a) * phi(b) for all a, b of q1."""
+    t2 = q2.table
+    return all(phi[ab] == t2[phi[a]][phi[b]]
+               for a, row in enumerate(q1.table) for b, ab in enumerate(row))
+
+
 def random_small_mcq(rng) -> MCQ:
     """One to four groups Z_1, Z_2 or Z_3, with conjugation inside each group
     and identities acting trivially.  The other products are random or, half
@@ -736,6 +754,29 @@ def suite_assoc_tower(rng, cases=PROPERTY_CASES) -> int:
     return failures
 
 
+def suite_iso_generators(rng, cases=PROPERTY_CASES) -> int:
+    """find_isomorphism on a quandle or near-quandle and a random relabelling
+    of it, of a near-quandle made from the same draw, or of a second draw:
+    up to order 7 the map is the lexicographically first transporting
+    permutation found by brute force (None when there is none), and a
+    relabelled copy always yields a transporting map."""
+    failures = 0
+    for _ in range(cases):
+        q = _random_quandle(rng)
+        q1 = near_quandle(rng, q) if rng.randrange(2) else q
+        kind = rng.randrange(3)
+        q2 = relabelled(rng, (q1, near_quandle(rng, q), _random_quandle(rng))[kind])
+        phi = find_isomorphism(q1, q2)
+        ok = kind != 0 or (phi is not None and transports(phi, q1, q2))
+        if q1.size <= 7:
+            first = None if q1.size != q2.size else next(
+                (p for p in itertools.permutations(range(q1.size)) if transports(p, q1, q2)),
+                None)
+            ok = ok and phi == first
+        failures += not ok
+    return failures
+
+
 PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("constructor-axioms", suite_constructor_axioms),
     ("split-identity", suite_split_identity),
@@ -748,6 +789,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("group-generators", suite_group_generators),
     ("assoc-tower", suite_assoc_tower),
     ("alexander-index", suite_alexander_index),
+    ("iso-generators", suite_iso_generators),
 )
 
 

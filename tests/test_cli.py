@@ -29,6 +29,7 @@ class TestParsingCommands:
         assert data["order"] == 36
         assert data["invariant_factors"] == [6, 6]
         assert data["component_count"] == 3
+        assert len(data["labels"]) == 36
         # the descriptor parses back to the same module
         code2, out2, _ = run(capsys, "build", data["descriptor"], "--format", "json")
         assert json.loads(out2) == data
@@ -37,6 +38,12 @@ class TestParsingCommands:
         code, out, _ = run(capsys, "build", "12; t+1", "--format", "json")
         assert code == 0
         assert json.loads(out)["order"] == 12
+
+    def test_text_build_lists_no_labels_beyond_order_64(self, capsys):
+        big = "99999999999999999999999"
+        assert run(capsys, "build", f"{big}; t+1") == (0, (
+            f"quotient by ({big}; 1+t)\norder: {big}\n"
+            f"invariant factors: [{big}]\ncomponents: 1\n"), "")
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "build", "6; t^^2")
@@ -496,9 +503,9 @@ def test_a_reader_closing_stdout_ends_the_call_quietly_with_141():
 
 
 class TestResourceLimit:
-    """MemoryError and RecursionError end a call with one line on stderr and
-    exit 5, never a traceback; the errors are raised by patched callees,
-    since the test must not exhaust anything."""
+    """MemoryError, RecursionError and OverflowError end a call with one line
+    on stderr and exit 5, never a traceback; the first two are raised by
+    patched callees, since the test must not exhaust anything."""
 
     @staticmethod
     def _raise(exc):
@@ -522,3 +529,12 @@ class TestResourceLimit:
 
         monkeypatch.setattr(cli, "build", self._raise(MemoryError()))
         assert run(capsys, *argv) == (5, "", "error: resource limit: MemoryError\n")
+
+    @pytest.mark.parametrize("argv", [["components", "--dihedral", "99999999999999999999"],
+                                      ["build", "99999999999999999999999; t+1",
+                                       "--format", "json"]])
+    def test_overflow_of_a_machine_size_integer(self, capsys, argv):
+        # both calls raise on their first range of the order, before allocating
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert err.startswith("error: resource limit: OverflowError") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from quandles import (
     type_of,
 )
 from quandles.quandle import _first_violation
-from quandles.verify import near_quandle
+from quandles.verify import near_quandle, relabelled, transports
 
 
 def label_index(q, name):
@@ -309,6 +310,27 @@ class TestIsomorphism:
         q1 = alexander_quandle(build(parse_ideal("5; t+3"))).quandle  # t = -3 = 2
         q2 = alexander_quandle(build(parse_ideal("5; t+2"))).quandle  # t = -2 = 3
         assert find_isomorphism(q1, q2) is None
+
+    def test_nonisomorphic_order_25_pair_answers_at_once(self):
+        q1 = alexander_quandle(build(parse_ideal("5; t^2+2"))).quandle
+        q2 = alexander_quandle(build(parse_ideal("5; t^2+3"))).quandle
+        start = time.perf_counter()
+        assert find_isomorphism(q1, q2) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_relabelled_order_49_copy(self):
+        q = alexander_quandle(build(parse_ideal("7; t^2+3"))).quandle
+        copy = relabelled(random.Random(49), q)
+        start = time.perf_counter()
+        phi = find_isomorphism(q, copy)
+        assert time.perf_counter() - start < 1.0
+        assert phi is not None and transports(phi, q, copy)
+
+    @pytest.mark.parametrize("make", [lambda: dihedral(601).quandle, lambda: trivial_quandle(600)],
+                             ids=["dihedral-601", "trivial-600"])
+    def test_identity_is_the_first_map_at_large_orders(self, make):
+        q = make()
+        assert find_isomorphism(q, q) == tuple(range(q.size))
 
 
 class TestColumnCycleType:
