@@ -48,6 +48,8 @@ from .quandle import (
 from .group import (
     FiniteGroup,
     check_group,
+    conj_components,
+    conj_decomposition,
     conj_quandle,
     conjugacy_classes,
     cyclic_group,

@@ -41,12 +41,13 @@ def alexander_quandle(module: FiniteTModule) -> AlexanderQuandle:
     the translate of the columns of (1 - t) b by t a, in index space.
     """
     if module.rank == 0:
-        table = [[0]]
+        table = [(0,)]
     else:
         delta = module.coordinate_columns(module.one_minus_t_rows())
-        table = [module.translate(ta, delta)
+        table = [tuple(module.translate(ta, delta))
                  for ta in zip(*module.coordinate_columns(module.t_matrix))]
-    return AlexanderQuandle(module, FiniteQuandle(table, module.labels()), module.presentation)
+    return AlexanderQuandle(module, FiniteQuandle._built(table, module.labels()),
+                            module.presentation)
 
 
 def alexander_decomposition(module: FiniteTModule) -> Decomposition:

@@ -18,7 +18,8 @@ import sys
 from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
                         dihedral_presentation, gcd_chain)
 from .decomposition import maximal_decomposition
-from .group import FiniteGroup, conj_quandle, cyclic_group, symmetric_group
+from .group import (FiniteGroup, check_group, conj_components, conj_decomposition, conj_quandle,
+                    cyclic_group, symmetric_group)
 from .laurent import ParseError, format_poly, parse_poly
 from .mcq import (MCQ, associated_decomposition, associated_mcq, check_associated_axioms,
                   check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition, pair_labeler)
@@ -132,6 +133,26 @@ def _alexander_module(args):
     return None
 
 
+def _conj_group(args):
+    """The group of a lone --symmetric, --cyclic or --group source taken
+    with --conj and without --assoc, whose conjugation quandle decomposes
+    from the multiplication rows (conj_components, conj_decomposition);
+    None for every other source.  An unchecked group file qualifies only
+    when check_group passes: then the columns of its conjugation quandle
+    are bijections, so check_columns could not refuse it.  Otherwise the
+    table path reports the same blocks or the same refusal as before."""
+    sources = getattr(args, "sources", None) or ()
+    if len(sources) != 1 or not args.conj or args.assoc:
+        return None
+    kind, value = sources[0]
+    if kind not in ("symmetric", "cyclic", "group"):
+        return None
+    g = _resolve_one(kind, value, args)
+    if kind == "group" and args.unchecked and check_group(g) is not None:
+        return None
+    return g
+
+
 class SystemExit2(Exception):
     def __init__(self, message, code):
         super().__init__(message)
@@ -179,11 +200,13 @@ def _cmd_components(args):
     # with --assoc, the index orbits of the associated structure are the
     # quandle's components (see mcq.associated_decomposition)
     module = _alexander_module(args)
-    obj = None if module is not None else _resolve_sources(args)[0]
+    obj = None if module is not None else _conj_group(args) or _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
         part = lambda_orbits(obj)
     elif module is not None:
         part = alexander_decomposition(module).levels[1]
+    elif isinstance(obj, FiniteGroup):
+        part = conj_components(obj)
     else:
         part = connected_components(obj)
     if isinstance(obj, MCQ) or args.assoc:
@@ -198,10 +221,15 @@ def _cmd_components(args):
 
 def _cmd_maxdecomp(args):
     module = _alexander_module(args)
-    obj = None if module is not None else _resolve_sources(args)[0]
+    obj = None if module is not None else _conj_group(args) or _resolve_sources(args)[0]
     if isinstance(obj, MCQ):
         return _emit_mcq_decomposition(args, maximal_mcq_decomposition(obj), lambda: obj.label)
-    dec = alexander_decomposition(module) if module is not None else maximal_decomposition(obj)
+    if module is not None:
+        dec = alexander_decomposition(module)
+    elif isinstance(obj, FiniteGroup):
+        dec = conj_decomposition(obj)
+    else:
+        dec = maximal_decomposition(obj)
     if args.assoc:
         m = module.t_order if module is not None else type_of(obj)
         return _emit_mcq_decomposition(args, associated_decomposition(dec, m),

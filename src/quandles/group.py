@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 from operator import getitem, itemgetter
-from typing import Optional
+from typing import Iterable, Optional
 
-from .quandle import FiniteQuandle, InvalidTable, Partition, check_json_fields, generators
+from .decomposition import Decomposition, iterate_refinement
+from .quandle import (FiniteQuandle, InvalidTable, Partition, action_generators, check_json_fields,
+                      orbits)
 
 
 class FiniteGroup:
@@ -96,18 +98,19 @@ def check_group(g: FiniteGroup) -> Optional[str]:
     The witness (a, b, c), the first with (a b) c != a (b c) in scan order,
     indices increasing, comes from the full scan, which runs only on a table
     that fails.  Deciding associativity needs c only in a generating set Z
-    of the table under its product (see quandle.generators), n^2 work per
-    generator instead of n^3 (Light's test).  This is exact: the c with
-    (x y) c == x (y c) for all x, y are closed under products, since for
-    two of them, c and d,
+    of the table under its product, n^2 work per generator instead of n^3
+    (Light's test).  This is exact: the c with (x y) c == x (y c) for all
+    x, y are closed under products, since for two of them, c and d,
 
         (x y)(c d) = ((x y) c) d = (x (y c)) d = x ((y c) d) = x (y (c d)),
 
-    and a subset closed under products holding Z is everything.  Z is grown
-    from the identity, which passes, being a two-sided identity.
+    and a subset closed under products holding Z is everything.  Z is the
+    identity, which passes, being a two-sided identity, and the picks of
+    quandle.action_generators under right multiplication: on any table they
+    generate everything under the product, as that docstring shows.
     """
     m = g.mult
-    for c in generators(range(g.size), (g.identity,), lambda a, b: (m[a][b], m[b][a])):
+    for c in action_generators(range(g.size), (g.identity,), lambda x, p: m[x][p]):
         col = [row[c] for row in m]
         through_col = itemgetter(*col)
         # row x: y -> (x y) c reads col through row x, y -> x (y c) reads row x through col
@@ -203,7 +206,7 @@ def conj_quandle(g: FiniteGroup) -> FiniteQuandle:
     """
     inv_rows = [g.mult[b] for b in g.inv]
     table = [tuple(map(getitem, inv_rows, row)) for row in g.mult]
-    return FiniteQuandle(table, g.labels)
+    return FiniteQuandle._built(table, g.labels)
 
 
 def conjugacy_classes(g: FiniteGroup) -> Partition:
@@ -219,3 +222,34 @@ def conjugacy_classes(g: FiniteGroup) -> Partition:
         unseen -= block
         blocks.append(block)
     return Partition(blocks)
+
+
+def conj_components(g: FiniteGroup, ambient: Iterable[int] | None = None) -> Partition:
+    """Orbits of the ambient set (by default the group) under conjugation
+    x -> y^-1 x y by its own members y: connected_components of
+    conj_quandle(g) on that set, read from the multiplication rows.
+
+    Conjugation by the picks Y of action_generators(ambient, {e}, right
+    multiplication) gives the same orbits, with |Y| moves per element
+    instead of |ambient|.  The span of Y, the identity and the products
+    y1 y2 ... yk of picks, is the subgroup <Y>, since y^-1 is a power of y
+    in a finite group; it holds the ambient set C, and Y lies in C, so
+    <Y> = <C>.  Conjugation is an action, S_ab = S_b S_a for
+    S_c: x -> c^-1 x c, and S_c^-1 is a power of S_c, so the maps
+    S_y for y in Y and the maps S_c for c in C generate the same group of
+    permutations, {S_h : h in <C>}.  An orbit that leaves the ambient set
+    raises NotASubquandle, as in connected_components.
+    """
+    m, inv = g.mult, g.inv
+    members = range(g.size) if ambient is None else sorted(set(ambient))
+    picks = action_generators(members, (g.identity,), lambda x, p: m[x][p])
+    moves = [(m[inv[y]], y) for y in picks]  # y^-1 x y as (row of y^-1 at x) y
+    return orbits(members, lambda x: [m[row[x]][y] for row, y in moves])
+
+
+def conj_decomposition(g: FiniteGroup) -> Decomposition:
+    """maximal_decomposition(conj_quandle(g)) from the multiplication rows,
+    each block refined by conj_components; the components, levels[1], are
+    the conjugacy classes."""
+    return iterate_refinement(Partition([range(g.size)]),
+                              lambda block: conj_components(g, block).blocks)

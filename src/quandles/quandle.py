@@ -115,11 +115,23 @@ class FiniteQuandle:
                 raise ValueError("table must be square")
             if min(row) < 0 or max(row) >= n:
                 raise ValueError("table entries must index elements")
-        self.size = n
+        self._fill(rows, labels)
+
+    def _fill(self, rows: tuple, labels) -> None:
+        self.size = len(rows)
         self.table = rows
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
+        if self.labels is not None and len(self.labels) != self.size:
             raise ValueError("labels must match the table size")
+
+    @classmethod
+    def _built(cls, rows: Sequence[tuple[int, ...]], labels=None) -> "FiniteQuandle":
+        """A quandle on rows that the library computed itself: a non-empty
+        square of tuples of element indices, which __init__ would only check
+        again cell by cell."""
+        q = cls.__new__(cls)
+        q._fill(tuple(rows), labels)
+        return q
 
     @classmethod
     def from_table(cls, table, labels=None, check: bool = True) -> "FiniteQuandle":
@@ -179,7 +191,7 @@ def trivial_quandle(n: int) -> FiniteQuandle:
     """The quandle with a * b == a for all a, b."""
     if n < 1:
         raise ValueError("a quandle is non-empty")
-    return FiniteQuandle([[a] * n for a in range(n)])
+    return FiniteQuandle._built([(a,) * n for a in range(n)])
 
 
 def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
@@ -391,6 +403,36 @@ def generators(elements: Iterable[int], start: Iterable[int],
     return picks
 
 
+def action_generators(elements: Iterable[int], start: Iterable[int],
+                      act: Callable[[int, int], int]) -> list[int]:
+    """Greedy generating set under an action: the elements, taken in the
+    given order, outside the span of the start set and the earlier picks.
+    The span is the least set that holds both and is closed under
+    x -> act(x, p) for every pick p.  It grows breadth first: a new pick is
+    applied to the old span, and each new member to every pick, so the cost
+    is O(|span| |picks|) calls of act, where generators multiplies every
+    pair of members.
+
+    The span lies inside the closure of the start set and the picks under
+    products(a, b) = (act(a, b), act(b, a)) (see closure): each member is a
+    start element, a pick, or act(y, p) for an earlier member y and a pick
+    p, both inside that closure.  So when the span reaches every element,
+    the start set and the picks also generate everything under products, as
+    the output of generators does.
+    """
+    span = set(start)
+    picks = []
+    for x in elements:
+        if x in span:
+            continue
+        picks.append(x)
+        fresh = {x}.union([act(y, x) for y in span]) - span
+        while fresh:
+            span |= fresh
+            fresh = {act(y, p) for y in fresh for p in picks} - span
+    return picks
+
+
 def _quandle_products(q: FiniteQuandle):
     t = q.table
     return lambda a, b: (t[a][b], t[b][a])
@@ -428,11 +470,11 @@ def subquandle(q: FiniteQuandle, elements: Iterable[int]) -> FiniteQuandle:
         raise ValueError("subquandle must be non-empty")
     index = {x: i for i, x in enumerate(elems)}
     try:
-        table = [[index[q.table[x][y]] for y in elems] for x in elems]
+        table = [tuple([index[q.table[x][y]] for y in elems]) for x in elems]
     except KeyError as exc:
         raise NotASubquandle(f"the product {exc.args[0]} leaves the subset") from None
     labels = [q.labels[x] for x in elems] if q.labels is not None else None
-    return FiniteQuandle(table, labels)
+    return FiniteQuandle._built(table, labels)
 
 
 def _profile(q: FiniteQuandle):

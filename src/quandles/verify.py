@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
                         dihedral_presentation, gcd_chain, orbit_count)
-from .group import (FiniteGroup, check_group, conj_quandle, conjugacy_classes, cyclic_group,
-                    symmetric_group)
+from .group import (FiniteGroup, check_group, conj_components, conj_decomposition, conj_quandle,
+                    conjugacy_classes, cyclic_group, symmetric_group)
 from .decomposition import Decomposition, maximal_decomposition
 from .laurent import ONE_MINUS_T, LaurentPoly, split_one_minus_t, syzygy_basis
 from .intmat import in_row_span
@@ -36,10 +36,12 @@ from .mcq import (
 from .quandle import (
     FiniteQuandle,
     Partition,
+    action_generators,
     check_axioms,
     connected_components,
     find_isomorphism,
     generated_subquandle,
+    generators,
     is_connected,
     subquandle,
     trivial_quandle,
@@ -456,14 +458,20 @@ def random_group_table(rng, small) -> list[list[int]]:
         mult = _product_table(mult, rng.choice([h for h in small
                                                 if len(h) * len(mult) <= 24]))
     if rng.randrange(2):
-        n = len(mult)
-        sigma = rng.sample(range(n), n)
-        relabelled = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                relabelled[sigma[x]][sigma[y]] = sigma[mult[x][y]]
-        mult = relabelled
+        mult = relabelled_table(rng, mult)
     return mult
+
+
+def relabelled_table(rng, mult) -> list[list[int]]:
+    """The table carried along a random permutation sigma of its elements,
+    so that sigma is an isomorphism onto the result."""
+    n = len(mult)
+    sigma = rng.sample(range(n), n)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[sigma[x]][sigma[y]] = sigma[mult[x][y]]
+    return out
 
 
 def near_group(rng, mult) -> list[list[int]]:
@@ -475,6 +483,27 @@ def near_group(rng, mult) -> list[list[int]]:
         a = rng.randrange(len(t))
         b1, b2 = rng.sample(range(len(t)), 2)
         t[a][b1], t[a][b2] = t[a][b2], t[a][b1]
+    return t
+
+
+# a loop of order 6 with identity 0 and two-sided inverses that is not
+# associative: (1 1) 2 = 0 but 1 (1 2) = 5
+NON_ASSOCIATIVE_LOOP = ((0, 1, 2, 3, 4, 5), (1, 4, 3, 5, 2, 0), (2, 3, 5, 1, 0, 4),
+                        (3, 2, 4, 0, 5, 1), (4, 5, 0, 2, 1, 3), (5, 0, 1, 4, 3, 2))
+
+
+def perturbed_product(rng, g: FiniteGroup) -> list[list[int]]:
+    """g's table with one product a b, neither factor the identity e and
+    a b != e, changed to another element than e: the identity and the
+    inverses stay, and the table is mostly not associative.  Groups of
+    order at most 2 have no such product and come back unchanged."""
+    t = [list(row) for row in g.mult]
+    e = g.identity
+    cells = [(a, b) for a in range(g.size) for b in range(g.size)
+             if e not in (a, b, t[a][b])]
+    if cells:
+        a, b = rng.choice(cells)
+        t[a][b] = rng.choice([c for c in range(g.size) if c not in (e, t[a][b])])
     return t
 
 
@@ -777,6 +806,46 @@ def suite_iso_generators(rng, cases=PROPERTY_CASES) -> int:
     return failures
 
 
+def suite_conj_group(rng, cases=PROPERTY_CASES) -> int:
+    """The conjugation quandle decomposed from the group against its table,
+    on randomly relabelled symmetric groups of degree at most 5, cyclic and
+    dihedral groups of order at most 24, and S_k x C_m of order at most 48:
+    conj_decomposition equals maximal_decomposition of conj_quandle on
+    every level and on depth, and its components are the conjugacy classes
+    and conj_components.  The greedy picks of action_generators under
+    right multiplication are those of generators.  On the group with one
+    product perturbed (see perturbed_product), and on a non-associative
+    loop times a cyclic group of order 2 to 4, check_group gives the
+    verdict and the witness of the full scan."""
+    cyclic = [[[(a + b) % k for b in range(k)] for a in range(k)] for k in range(1, 25)]
+    symmetric = [reference_symmetric_table(k) for k in range(1, 6)]
+    families = (
+        symmetric,
+        cyclic,
+        [_dihedral_group_table(k) for k in range(1, 13)],
+        [_product_table(s, c) for s in symmetric[:4] for c in cyclic if len(s) * len(c) <= 48],
+    )
+    failures = 0
+    for _ in range(cases):
+        g = FiniteGroup(relabelled_table(rng, rng.choice(rng.choice(families))))
+        dec = conj_decomposition(g)
+        ok = dec == maximal_decomposition(conj_quandle(g))
+        ok = ok and dec.levels[1] == conjugacy_classes(g) == conj_components(g)
+        near = FiniteGroup(perturbed_product(rng, g))
+        ok = ok and (near.identity, near.inv) == (g.identity, g.inv)
+        ok = ok and check_group(g) is None
+        ok = ok and (action_generators(range(g.size), (g.identity,), lambda x, p: g.mult[x][p])
+                     == generators(range(g.size), (g.identity,),
+                                   lambda a, b: (g.mult[a][b], g.mult[b][a])))
+        ok = ok and check_group(near) == group._first_nonassociative(near)
+        # the first picks, from the group factor, pass Light's test; a later one fails
+        looped = FiniteGroup(_product_table(NON_ASSOCIATIVE_LOOP, rng.choice(cyclic[1:4])))
+        witness = group._first_nonassociative(looped)
+        ok = ok and witness is not None and check_group(looped) == witness
+        failures += not ok
+    return failures
+
+
 PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("constructor-axioms", suite_constructor_axioms),
     ("split-identity", suite_split_identity),
@@ -790,6 +859,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("assoc-tower", suite_assoc_tower),
     ("alexander-index", suite_alexander_index),
     ("iso-generators", suite_iso_generators),
+    ("conj-group", suite_conj_group),
 )
 
 

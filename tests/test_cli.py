@@ -10,9 +10,10 @@ import pytest
 from quandles import alexander_quandle, build, dihedral, parse_ideal, symmetric_group
 from quandles.cli import main
 from quandles.decomposition import maximal_decomposition
-from quandles.group import conj_quandle
+from quandles.group import conj_quandle, cyclic_group
 from quandles.mcq import MCQ, associated_mcq
 from quandles.quandle import FiniteQuandle, type_of
+from quandles.verify import NON_ASSOCIATIVE_LOOP
 
 
 def run(capsys, *argv):
@@ -300,6 +301,79 @@ class TestAlexanderSources:
         # the table path of another verb reports the same
         if len(argv) == 2:
             assert run(capsys, "axioms", *argv) == (code, "", err)
+
+
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a conjugation table was built")
+
+
+class TestConjGroupSources:
+    """components/maxdecomp on a lone group source with --conj decompose
+    from the multiplication rows; the output must match the table path
+    byte for byte."""
+
+    # a loop whose inverses are two-sided, and S3 with the product (1, 2)
+    # changed: neither is associative; the loop's conjugation columns are
+    # bijections, S3's collide
+    LOOP = NON_ASSOCIATIVE_LOOP
+    NEAR_S3 = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+               [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+    COLLISION = ("invalid table: right translations are not bijections "
+                 "(right-invertibility fails at (3, 4, 1))\n")
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("flag,value", [("--symmetric", "5"), ("--cyclic", "12"),
+                                            ("--group", "s4.json")])
+    def test_matches_table_path(self, capsys, tmp_path, verb, fmt, flag, value):
+        g = symmetric_group(5 if flag == "--symmetric" else 4)
+        if flag == "--cyclic":
+            g = cyclic_group(12)
+        if flag == "--group":
+            value = str(tmp_path / value)
+            Path(value).write_text(json.dumps(g.to_json()))
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(conj_quandle(g).to_json()))
+        direct = run(capsys, verb, flag, value, "--conj", "--format", fmt)
+        tabled = run(capsys, verb, "--table", str(path), "--format", fmt)
+        assert direct == tabled
+        assert direct[0] == 0 and direct[1]
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    def test_builds_no_conjugation_table(self, capsys, tmp_path, monkeypatch, verb):
+        dec = maximal_decomposition(conj_quandle(symmetric_group(6)))
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps(symmetric_group(4).to_json()))
+        monkeypatch.setattr("quandles.cli.conj_quandle", _refuse_table)
+        code, out, err = run(capsys, verb, "--conj", "--symmetric", "6", "--format", "json")
+        assert (code, err) == (0, "")
+        if verb == "components":
+            assert json.loads(out) == {"blocks": dec.levels[1].to_json()}
+        else:
+            assert json.loads(out) == dec.to_json()
+        for argv in (["--cyclic", "9"], ["--group", str(path)], ["--group", str(path),
+                                                                 "--unchecked"]):
+            code, out, err = run(capsys, verb, "--conj", *argv)
+            assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("verb,mult,expected", [
+        ("components", LOOP, (0, "2 connected component(s), sizes [1, 5]:\n"
+                                 "  {0}\n  {1, 2, 3, 4, 5}\n", "")),
+        ("maxdecomp", LOOP, (0, "depth: 1\nlevel 0: 1 block(s), sizes [6]\n"
+                                "level 1: 2 block(s), sizes [1, 5]\n"
+                                "level 2: 2 block(s), sizes [1, 5]\n"
+                                "final blocks:\n  {0}\n  {1, 2, 3, 4, 5}\n", "")),
+        ("components", NEAR_S3, (3, "", COLLISION)),
+        ("maxdecomp", NEAR_S3, (3, "", COLLISION)),
+    ], ids=["loop-components", "loop-maxdecomp", "near-s3-components", "near-s3-maxdecomp"])
+    def test_unchecked_non_associative_file_keeps_the_table_path(self, capsys, tmp_path, verb,
+                                                                 mult, expected):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"mult": mult}))
+        assert run(capsys, verb, "--group", str(path), "--conj", "--unchecked") == expected
+        # checked, the loader refuses it
+        code, out, err = run(capsys, verb, "--group", str(path), "--conj")
+        assert (code, out) == (3, "") and err.startswith("invalid table: associativity fails")
 
 
 def _refuse_carrier(*args, **kwargs):
