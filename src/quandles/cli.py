@@ -410,51 +410,49 @@ def _short(value):
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _build_parser():
+def _add_verify_flags(sub):
+    sub.add_argument("--only", metavar="SUBSTR", default=None,
+                     help="restrict to check groups containing this substring")
+    sub.add_argument("--seed", type=int, default=None)
+
+
+# verb -> (handler, add_parser keywords, flags of its own), in usage-line order
+_VERBS = {
+    "axioms": (_cmd_axioms, {}, _add_source_flags),
+    "components": (_cmd_components, {}, _add_source_flags),
+    "maxdecomp": (_cmd_maxdecomp, {}, _add_source_flags),
+    "iso": (_cmd_iso, {}, _add_source_flags),
+    "assoc": (_cmd_assoc, {}, _add_source_flags),
+    "build": (_cmd_build, {"help": "construct a finite quotient module"},
+              lambda sub: sub.add_argument("ideal", metavar="IDEAL", help="'n; p1; p2; ...'")),
+    "theory": (_cmd_theory, {"help": "symbolic component count and ideal"},
+               lambda sub: sub.add_argument("generators", metavar="GENS", help="'p1; p2; ...'")),
+    "prop56": (_cmd_prop56, {"help": "gcd chain decomposition of (n0; t+a)"},
+               lambda sub: [sub.add_argument(name, type=int) for name in ("n0", "a")]),
+    "verify": (_cmd_verify, {"help": "run the reproduction checks"}, _add_verify_flags),
+}
+
+
+def _build_parser(verb=None):
+    """The parser with every verb's subparser, or with `verb`'s alone, which
+    lists every verb on its usage line as the full one does.  The full one keeps
+    argparse's metavar, which names `verb` in its invalid-choice message."""
     parser = argparse.ArgumentParser(
         prog="quandles",
         description="finite quandle and multiple conjugation quandle computations",
     )
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file of flag defaults (same keys as flags)")
-    subs = parser.add_subparsers(dest="verb", required=True)
+    narrow = {} if verb is None else {"metavar": "{" + ",".join(_VERBS) + "}"}
+    subs = parser.add_subparsers(dest="verb", required=True, **narrow)
     all_subs = []
-
-    for verb, fn in (("axioms", _cmd_axioms), ("components", _cmd_components),
-                     ("maxdecomp", _cmd_maxdecomp), ("iso", _cmd_iso),
-                     ("assoc", _cmd_assoc)):
-        sub = subs.add_parser(verb)
-        _add_source_flags(sub)
-        _add_common_flags(sub)
-        sub.set_defaults(fn=fn)
-        all_subs.append(sub)
-
-    sub = subs.add_parser("build", help="construct a finite quotient module")
-    sub.add_argument("ideal", metavar="IDEAL", help="'n; p1; p2; ...'")
-    _add_common_flags(sub)
-    sub.set_defaults(fn=_cmd_build)
-    all_subs.append(sub)
-
-    sub = subs.add_parser("theory", help="symbolic component count and ideal")
-    sub.add_argument("generators", metavar="GENS", help="'p1; p2; ...'")
-    _add_common_flags(sub)
-    sub.set_defaults(fn=_cmd_theory)
-    all_subs.append(sub)
-
-    sub = subs.add_parser("prop56", help="gcd chain decomposition of (n0; t+a)")
-    sub.add_argument("n0", type=int)
-    sub.add_argument("a", type=int)
-    _add_common_flags(sub)
-    sub.set_defaults(fn=_cmd_prop56)
-    all_subs.append(sub)
-
-    sub = subs.add_parser("verify", help="run the reproduction checks")
-    sub.add_argument("--only", metavar="SUBSTR", default=None,
-                     help="restrict to check groups containing this substring")
-    sub.add_argument("--seed", type=int, default=None)
-    _add_common_flags(sub)
-    sub.set_defaults(fn=_cmd_verify)
-    all_subs.append(sub)
+    for name, (fn, keywords, add_flags) in _VERBS.items():
+        if verb in (None, name):
+            sub = subs.add_parser(name, **keywords)
+            add_flags(sub)
+            _add_common_flags(sub)
+            sub.set_defaults(fn=fn)
+            all_subs.append(sub)
     return parser, all_subs
 
 
@@ -485,7 +483,9 @@ def _config_defaults(path, parsers):
 
 
 def main(argv=None) -> int:
-    parser, all_subs = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # every verb's parser only for --config, a top-level -h or a missing or unknown verb
+    parser, all_subs = _build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

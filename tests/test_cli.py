@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from quandles import alexander_quandle, build, dihedral, parse_ideal, symmetric_group
+from quandles import cli
 from quandles.cli import main
 from quandles.decomposition import maximal_decomposition
 from quandles.group import conj_quandle, cyclic_group
@@ -535,6 +536,92 @@ class TestConfig:
         code, out, _ = run(capsys, "--config", str(cfg), "prop56", "12", "1")
         assert code == 0
         assert json.loads(out)["depth"] == 2
+
+
+def _parser_grid():
+    """Seeded argvs: each verb with -h, with unrecognized arguments, with bad
+    flag values and with random tokens; a missing verb, an unknown verb and
+    --config before the verb.  The config file is never read here."""
+    rng = random.Random(11)
+    tokens = ["-h", "--bogus", "--format", "xml", "json", "--seed", "q", "7", "--only",
+              "--dihedral", "6", "--dihedral=5", "--alexander", "6; t^2+t+1", "--conj",
+              "--symmetric", "3", "--assoc", "--unchecked", "--form", "12", "1", "x", "--", "-",
+              "--config", "cfg.json", "components"]
+    grid = [[], ["-h"], ["--help"], ["bogus"], ["Components"], ["bogus", "-h"], ["--bogus"],
+            ["--config"], ["--config", "cfg.json"], ["--config", "cfg.json", "-h"],
+            ["--config", "cfg.json", "bogus"], ["--config=cfg.json", "prop56", "12", "1"]]
+    for verb in cli._VERBS:
+        grid += [[verb, "-h"], [verb, "--bogus"], [verb, "x", "y", "z"], [verb, "--format", "xml"],
+                 [verb, "--seed", "q"], ["--config", "cfg.json", verb, "--bogus"]]
+        grid += [[verb, *rng.choices(tokens, k=rng.randint(0, 5))] for _ in range(8)]
+    return grid
+
+
+class _Route(Exception):
+    """Raised in place of building a parser, with the verb asked for."""
+
+
+def _route(monkeypatch, call):
+    """The verb main builds its parser for in call(), None for every verb."""
+    def stop(verb=None):
+        raise _Route(verb)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", stop)
+        with pytest.raises(_Route) as info:
+            call()
+    return info.value.args[0]
+
+
+def _parse(capsys, parser, argv):
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, namespace
+
+
+class TestParserRoute:
+    """main builds the subparser of a leading verb alone; that parser must
+    answer every argv as the full parser does, usage and error bytes too."""
+
+    @pytest.mark.parametrize("argv", _parser_grid(), ids=" ".join)
+    def test_the_verb_parser_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
+        verb = _route(monkeypatch, lambda: main(argv))
+        assert verb == (argv[0] if argv and argv[0] in cli._VERBS else None)
+        narrow, subs = cli._build_parser(verb)
+        assert len(subs) == (len(cli._VERBS) if verb is None else 1)
+        assert _parse(capsys, narrow, argv) == _parse(capsys, cli._build_parser()[0], argv)
+
+    def test_an_unknown_verb_is_named_by_argparse_s_own_metavar(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        assert "error: argument verb: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["components", "--dihedral", "6"],
+                                      ["--config", "cfg.json", "prop56", "12", "1"], []])
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"format": "json"}))
+        monkeypatch.setattr(sys, "argv", ["quandles", *argv])
+        assert _route(monkeypatch, main) == _route(monkeypatch, lambda: main(argv))
+        if argv:
+            assert run(capsys, *argv) == (main(), *capsys.readouterr())
+
+    def test_a_process_prints_the_in_process_usage_error(self, capsys, monkeypatch):
+        argv = ["components", "--dihedral", "6", "--bogus"]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-m", "quandles.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (info.value.code, b"", err)
+        assert info.value.code == 2 and "prop56,verify}" in err
 
 
 class TestVerify:
