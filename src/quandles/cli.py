@@ -101,21 +101,23 @@ def _resolve_sources(args, count=1):
     if len(sources) != count:
         need = "exactly one source flag" if count == 1 else f"exactly {count} source flags"
         raise SystemExit2(f"this command needs {need}", EXIT_PARSE)
-    out = []
-    for kind, value in sources:
-        obj = _resolve_one(kind, value, args)
-        if isinstance(obj, FiniteGroup):
-            if not args.conj:
-                raise SystemExit2("group sources need --conj", EXIT_PARSE)
-            obj = conj_quandle(obj)
-        # only `axioms` may go on with broken columns: it reports the violation
-        if args.unchecked and args.verb != "axioms":
-            bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle(obj.op))
-            if bad is not None:
-                raise InvalidTable("right translations are not bijections "
-                                   f"({bad.axiom} fails at {bad.witness})")
-        out.append(obj)
-    return out
+    return [_tabled(_resolve_one(kind, value, args), args) for kind, value in sources]
+
+
+def _tabled(obj, args):
+    """A resolved source as the table path takes it: a group becomes its
+    conjugation quandle, and with --unchecked the columns are checked."""
+    if isinstance(obj, FiniteGroup):
+        if not args.conj:
+            raise SystemExit2("group sources need --conj", EXIT_PARSE)
+        obj = conj_quandle(obj)
+    # only `axioms` may go on with broken columns: it reports the violation
+    if args.unchecked and args.verb != "axioms":
+        bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle(obj.op))
+        if bad is not None:
+            raise InvalidTable("right translations are not bijections "
+                               f"({bad.axiom} fails at {bad.witness})")
+    return obj
 
 
 def _alexander_module(args):
@@ -140,7 +142,9 @@ def _conj_group(args):
     None for every other source.  An unchecked group file qualifies only
     when check_group passes: then the columns of its conjugation quandle
     are bijections, so check_columns could not refuse it.  Otherwise the
-    table path reports the same blocks or the same refusal as before."""
+    loaded group goes on along the table path, as _resolve_sources would
+    give it without reading the file again: the same blocks or the same
+    refusal as before."""
     sources = getattr(args, "sources", None) or ()
     if len(sources) != 1 or not args.conj or args.assoc:
         return None
@@ -149,7 +153,7 @@ def _conj_group(args):
         return None
     g = _resolve_one(kind, value, args)
     if kind == "group" and args.unchecked and check_group(g) is not None:
-        return None
+        return _tabled(g, args)
     return g
 
 

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
@@ -507,6 +508,20 @@ def perturbed_product(rng, g: FiniteGroup) -> list[list[int]]:
     return t
 
 
+def reference_light_test(g: FiniteGroup) -> Optional[str]:
+    """check_group's verdict and witness by Light's test on each greedy
+    pick c, one n^2 pass per pick comparing (x y) c with x (y c) row by
+    row, as reference code for the spanning-tree certificate."""
+    m = g.mult
+    for c in action_generators(range(g.size), (g.identity,), lambda x, p: m[x][p]):
+        col = [row[c] for row in m]
+        through_col = itemgetter(*col)
+        # row x: y -> (x y) c reads col through row x, y -> x (y c) reads row x through col
+        if any(itemgetter(*row)(col) != through_col(row) for row in m):
+            return group._first_nonassociative(g)
+    return None
+
+
 def reference_alexander_table(module) -> list[list[int]]:
     """alexander_quandle(module)'s table one cell at a time from the element
     tuples, t a + (1 - t) b looked up in an index dict, as reference code."""
@@ -838,11 +853,42 @@ def suite_conj_group(rng, cases=PROPERTY_CASES) -> int:
                      == generators(range(g.size), (g.identity,),
                                    lambda a, b: (g.mult[a][b], g.mult[b][a])))
         ok = ok and check_group(near) == group._first_nonassociative(near)
-        # the first picks, from the group factor, pass Light's test; a later one fails
+        # the picks span the group factor and the loop; the certificate fails on the loop
         looped = FiniteGroup(_product_table(NON_ASSOCIATIVE_LOOP, rng.choice(cyclic[1:4])))
         witness = group._first_nonassociative(looped)
         ok = ok and witness is not None and check_group(looped) == witness
         failures += not ok
+    return failures
+
+
+def suite_group_assoc_certificate(rng, cases=PROPERTY_CASES) -> int:
+    """check_group, the spanning-tree certificate, against the full scan,
+    verdict and witness, in turn on seeded groups of order at most 24 (see
+    random_group_table), near-groups (see near_group), perturbed products
+    (see perturbed_product) and the relabelled non-associative loop times a
+    cyclic group of order 1 to 4; and, one case in 100, against Light's test
+    on every pick (reference_light_test) on a relabelled S5 x C_m or S6, of
+    order 120 to 720, where the full scan costs n^3."""
+    small = small_group_tables()
+    loops = [_product_table(NON_ASSOCIATIVE_LOOP, cyclic_group(k).mult) for k in range(1, 5)]
+    draws = (lambda: random_group_table(rng, small),
+             lambda: near_group(rng, random_group_table(rng, small)),
+             lambda: perturbed_product(rng, FiniteGroup(random_group_table(rng, small))),
+             lambda: relabelled_table(rng, rng.choice(loops)))
+    large = {}
+    failures = 0
+    for case in range(cases):
+        if case % 100 == 0:
+            k, m = rng.choice([(5, m) for m in range(1, 7)] + [(6, 1)])
+            if (k, m) not in large:
+                large[k, m] = _product_table(symmetric_group(k).mult, cyclic_group(m).mult)
+            g = FiniteGroup(relabelled_table(rng, large[k, m]))
+            failures += (check_group(g), reference_light_test(g)) != (None, None)
+        try:
+            g = FiniteGroup(draws[case % len(draws)]())
+        except ValueError:
+            continue
+        failures += check_group(g) != group._first_nonassociative(g)
     return failures
 
 
@@ -860,6 +906,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("alexander-index", suite_alexander_index),
     ("iso-generators", suite_iso_generators),
     ("conj-group", suite_conj_group),
+    ("group-assoc-certificate", suite_group_assoc_certificate),
 )
 
 

@@ -367,11 +367,16 @@ class TestConjGroupSources:
         ("components", NEAR_S3, (3, "", COLLISION)),
         ("maxdecomp", NEAR_S3, (3, "", COLLISION)),
     ], ids=["loop-components", "loop-maxdecomp", "near-s3-components", "near-s3-maxdecomp"])
-    def test_unchecked_non_associative_file_keeps_the_table_path(self, capsys, tmp_path, verb,
-                                                                 mult, expected):
+    def test_unchecked_non_associative_file_keeps_the_table_path(self, capsys, tmp_path,
+                                                                 monkeypatch, verb, mult,
+                                                                 expected):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"mult": mult}))
+        reads = []
+        load_json = cli._load_json
+        monkeypatch.setattr(cli, "_load_json", lambda p: reads.append(p) or load_json(p))
         assert run(capsys, verb, "--group", str(path), "--conj", "--unchecked") == expected
+        assert reads == [str(path)]  # the table path takes the loaded group
         # checked, the loader refuses it
         code, out, err = run(capsys, verb, "--group", str(path), "--conj")
         assert (code, out) == (3, "") and err.startswith("invalid table: associativity fails")

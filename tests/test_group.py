@@ -15,7 +15,9 @@ from quandles import (
     trivial_quandle,
 )
 from quandles.group import _first_nonassociative
-from quandles.verify import (near_group, random_group_table, reference_identity_and_inverses,
+from quandles.quandle import action_generators
+from quandles.verify import (_dihedral_group_table, near_group, perturbed_product,
+                             random_group_table, reference_identity_and_inverses,
                              reference_symmetric_table, small_group_tables)
 
 
@@ -55,6 +57,16 @@ class TestSymmetricGroup:
         b = g.labels.index("(1 3)")
         # (1 2) then (1 3): 1 -> 2 -> 2, 2 -> 1 -> 3, 3 -> 3 -> 1
         assert g.labels[g.mul(a, b)] == "(1 2 3)"
+
+
+class TestBuiltGroups:
+    @pytest.mark.parametrize("g", [symmetric_group(k) for k in range(1, 7)]
+                             + [cyclic_group(n) for n in range(1, 31)],
+                             ids=[f"S{k}" for k in range(1, 7)] + [f"C{n}" for n in range(1, 31)])
+    def test_built_group_equals_the_validated_one(self, g):
+        derived = FiniteGroup([list(row) for row in g.mult], labels=g.labels)
+        assert ((g.mult, g.identity, g.inv, g.labels)
+                == (derived.mult, derived.identity, derived.inv, derived.labels))
 
 
 class TestCyclicGroup:
@@ -166,3 +178,41 @@ class TestGroupChecks:
         mult[3][1] = 2
         with pytest.raises(ValueError, match="element 1 has no inverse"):
             FiniteGroup(mult)
+
+
+def _certificate_parts(g):
+    """Whether check_group's checks (A) and (B) hold, one cell at a time:
+    (A) (z p) w == z (p w) on the breadth-first tree edges y = z p from the
+    identity, (B) s (w c) == (s w) c for picks s and c."""
+    m, e, n = g.mult, g.identity, g.size
+    picks = action_generators(range(n), (e,), lambda x, p: m[x][p])
+    edges, walk = {}, [e]
+    for z in walk:
+        for p in picks:
+            y = m[z][p]
+            if y != e and y not in edges:
+                edges[y] = (z, p)
+                walk.append(y)
+    assert len(walk) == n
+    tree = all(m[m[z][p]][w] == m[z][m[p][w]] for z, p in edges.values() for w in range(n))
+    picks_commute = all(m[s][m[w][c]] == m[m[s][w]][c]
+                        for s in picks for c in picks for w in range(n))
+    return tree, picks_commute
+
+
+def _b_only_table():
+    # a relabelled C7 with the product 0 0 changed from 5 to 0; the pick 0 is a leaf of the tree
+    rng = random.Random(54435)
+    return perturbed_product(rng, FiniteGroup(random_group_table(rng, small_group_tables())))
+
+
+class TestAssociativityCertificate:
+    @pytest.mark.parametrize("table,parts,witness", [
+        (lambda: perturbed_product(random.Random(0), FiniteGroup(_dihedral_group_table(6))),
+         (False, True), "associativity fails at (1, 10, 9)"),
+        (_b_only_table, (True, False), "associativity fails at (0, 0, 2)"),
+    ], ids=["refused-only-by-the-tree-edges", "refused-only-by-the-commuting-picks"])
+    def test_each_check_alone_refuses_a_table(self, table, parts, witness):
+        g = FiniteGroup(table())
+        assert _certificate_parts(g) == parts
+        assert check_group(g) == _first_nonassociative(g) == witness
