@@ -48,6 +48,7 @@ from .quandle import (
 from .group import (
     FiniteGroup,
     check_group,
+    is_associative,
     conj_components,
     conj_decomposition,
     conj_quandle,
@@ -59,6 +60,7 @@ from .alexander import (
     AlexanderQuandle,
     ComponentIdeal,
     GcdChain,
+    alexander_components,
     alexander_decomposition,
     alexander_quandle,
     component_ideal,

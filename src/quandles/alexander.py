@@ -61,11 +61,8 @@ def alexander_decomposition(module: FiniteTModule) -> Decomposition:
     table.  Each coset is one translate of the columns of I_k, so the cost
     is O(rank * order * (depth + 2)) C-level steps.
     """
-    coords = module.coordinate_columns()
-    one_minus_t = module.translate(module.zero(),
-                                   module.coordinate_columns(module.one_minus_t_rows()))
-    n = module.order
-    image = range(n)
+    coords, one_minus_t = _coset_frame(module)
+    image = range(module.order)
     levels = [Partition([image])]
     while True:
         # I_{k+1} lies inside I_k, so equal sizes mean equal subgroups
@@ -73,19 +70,42 @@ def alexander_decomposition(module: FiniteTModule) -> Decomposition:
         if len(smaller) == len(image):
             break
         image = smaller
-        sub = [list(map(col.__getitem__, image)) for col in coords]
-        seen = bytearray(n)
-        blocks = []
-        x = 0
-        while x >= 0:
-            block = module.translate([col[x] for col in coords], sub)
-            for y in block:
-                seen[y] = 1
-            blocks.append(block)
-            x = seen.find(0, x + 1)
-        levels.append(Partition(blocks))
+        levels.append(_cosets(module, coords, image))
     levels.append(levels[-1])
     return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
+
+
+def alexander_components(module: FiniteTModule) -> Partition:
+    """The connected components of the Alexander quandle of a module, the
+    cosets of (1 - t) M (the paper's Orb(i)): level 1 of
+    alexander_decomposition, without the levels below it.  There are
+    module.eval_modulus of them."""
+    coords, one_minus_t = _coset_frame(module)
+    return _cosets(module, coords, set(one_minus_t))
+
+
+def _coset_frame(module: FiniteTModule):
+    """The coordinate columns of the elements, and 1 - t as a map on
+    indices."""
+    one_minus_t = module.translate(module.zero(),
+                                   module.coordinate_columns(module.one_minus_t_rows()))
+    return module.coordinate_columns(), one_minus_t
+
+
+def _cosets(module: FiniteTModule, coords, image) -> Partition:
+    """The cosets x + H of the subgroup H, a set of indices, each one
+    translate of H's coordinate columns."""
+    sub = [list(map(col.__getitem__, image)) for col in coords]
+    seen = bytearray(module.order)
+    blocks = []
+    x = 0
+    while x >= 0:
+        block = module.translate([col[x] for col in coords], sub)
+        for y in block:
+            seen[y] = 1
+        blocks.append(block)
+        x = seen.find(0, x + 1)
+    return Partition(blocks)
 
 
 def dihedral_presentation(m: int) -> IdealPresentation:

@@ -15,11 +15,11 @@ import json
 import os
 import sys
 
-from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
-                        dihedral_presentation, gcd_chain)
+from .alexander import (alexander_components, alexander_decomposition, alexander_quandle,
+                        component_ideal, dihedral, dihedral_presentation, gcd_chain)
 from .decomposition import maximal_decomposition
-from .group import (FiniteGroup, check_group, conj_components, conj_decomposition, conj_quandle,
-                    cyclic_group, symmetric_group)
+from .group import (FiniteGroup, conj_components, conj_decomposition, conj_quandle, cyclic_group,
+                    is_associative, symmetric_group)
 from .laurent import ParseError, format_poly, parse_poly
 from .mcq import (MCQ, associated_decomposition, associated_mcq, check_associated_axioms,
                   check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition, pair_labeler)
@@ -140,7 +140,7 @@ def _conj_group(args):
     with --conj and without --assoc, whose conjugation quandle decomposes
     from the multiplication rows (conj_components, conj_decomposition);
     None for every other source.  An unchecked group file qualifies only
-    when check_group passes: then the columns of its conjugation quandle
+    when it is associative: then the columns of its conjugation quandle
     are bijections, so check_columns could not refuse it.  Otherwise the
     loaded group goes on along the table path, as _resolve_sources would
     give it without reading the file again: the same blocks or the same
@@ -152,7 +152,7 @@ def _conj_group(args):
     if kind not in ("symmetric", "cyclic", "group"):
         return None
     g = _resolve_one(kind, value, args)
-    if kind == "group" and args.unchecked and check_group(g) is not None:
+    if kind == "group" and args.unchecked and not is_associative(g):
         return _tabled(g, args)
     return g
 
@@ -208,7 +208,7 @@ def _cmd_components(args):
     if isinstance(obj, MCQ):
         part = lambda_orbits(obj)
     elif module is not None:
-        part = alexander_decomposition(module).levels[1]
+        part = alexander_components(module)
     elif isinstance(obj, FiniteGroup):
         part = conj_components(obj)
     else:
@@ -358,8 +358,13 @@ def _cmd_prop56(args):
 
 
 def _cmd_assoc(args):
-    obj = _resolve_sources(args)[0]
-    x = obj if isinstance(obj, MCQ) else associated_mcq(obj)
+    # an Alexander quandle's type is the order of t on its module
+    module = _alexander_module(args)
+    if module is not None:
+        x = associated_mcq(alexander_quandle(module).quandle, module.t_order)
+    else:
+        obj = _resolve_sources(args)[0]
+        x = obj if isinstance(obj, MCQ) else associated_mcq(obj)
     payload = x.to_json()
 
     def text():

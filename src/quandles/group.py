@@ -108,12 +108,19 @@ class FiniteGroup:
 def check_group(g: FiniteGroup) -> Optional[str]:
     """None for a genuine group, otherwise a message naming the failure.
 
-    The witness (a, b, c), the first with (a b) c != a (b c) in scan order,
-    indices increasing, comes from the full scan, which runs only on a table
-    that fails.  Deciding associativity needs c only in a generating set Z
-    of the table under its product (Light's test): the c with
-    (x y) c == x (y c) for all x, y are closed under products, since for
-    two of them, c and d,
+    The verdict is is_associative's.  The witness (a, b, c), the first with
+    (a b) c != a (b c) in scan order, indices increasing, comes from the
+    full scan, which runs only on a table that fails.
+    """
+    return None if is_associative(g) else _first_nonassociative(g)
+
+
+def is_associative(g: FiniteGroup) -> bool:
+    """Whether (a b) c == a (b c) for all a, b and c of the table.
+
+    Deciding associativity needs c only in a generating set Z of the table
+    under its product (Light's test): the c with (x y) c == x (y c) for all
+    x, y are closed under products, since for two of them, c and d,
 
         (x y)(c d) = ((x y) c) d = (x (y c)) d = x ((y c) d) = x (y (c d)),
 
@@ -148,7 +155,7 @@ def check_group(g: FiniteGroup) -> Optional[str]:
             y = row[p]
             if y not in reached:
                 if m[y] != through_p(row):  # (A)
-                    return _first_nonassociative(g)
+                    return False
                 reached.add(y)
                 walk.append(y)
     for c in picks:
@@ -156,8 +163,8 @@ def check_group(g: FiniteGroup) -> Optional[str]:
         through_col = itemgetter(*col)
         # row s: w -> (s w) c reads col through row s, w -> s (w c) reads row s through col
         if any(through_s(col) != through_col(m[s]) for s, through_s in through):  # (B)
-            return _first_nonassociative(g)
-    return None
+            return False
+    return True
 
 
 def _first_nonassociative(g: FiniteGroup) -> Optional[str]:

@@ -13,13 +13,13 @@ closure follows: * both ways, and the group product inside one group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
-from typing import Iterable, Optional
+from operator import getitem, itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
-from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, check_axioms,
-                      check_json_fields, closure, generators, orbits, type_of)
+from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, action_generators,
+                      check_axioms, check_json_fields, closure, generators, orbits, type_of)
 
 
 @dataclass(frozen=True)
@@ -39,27 +39,42 @@ class MCQ:
     __slots__ = ("groups", "op", "offsets", "group_of", "labels", "size")
 
     def __init__(self, groups: Iterable[FiniteGroup], op, labels=None):
-        self.groups = tuple(groups)
-        if not self.groups:
+        groups = tuple(groups)
+        if not groups:
             raise ValueError("need at least one group")
+        size = sum(g.size for g in groups)
+        rows = tuple(tuple(row) for row in op)
+        if len(rows) != size or any(len(r) != size for r in rows):
+            raise ValueError("operation table must be carrier x carrier")
+        if any(min(row) < 0 or max(row) >= size for row in rows):
+            raise ValueError("operation entries must index the carrier")
+        self._fill(groups, rows, labels)
+
+    def _fill(self, groups: tuple, rows: tuple, labels) -> None:
+        self.groups = groups
         offsets = [0]
-        for g in self.groups:
+        group_of = []
+        for lam, g in enumerate(groups):
             offsets.append(offsets[-1] + g.size)
+            group_of.extend([lam] * g.size)
         self.offsets = tuple(offsets)
         self.size = offsets[-1]
-        rows = tuple(tuple(row) for row in op)
-        if len(rows) != self.size or any(len(r) != self.size for r in rows):
-            raise ValueError("operation table must be carrier x carrier")
-        if any(min(row) < 0 or max(row) >= self.size for row in rows):
-            raise ValueError("operation entries must index the carrier")
-        self.op = rows
-        group_of = []
-        for lam, g in enumerate(self.groups):
-            group_of.extend([lam] * g.size)
         self.group_of = tuple(group_of)
+        self.op = rows
         self.labels = tuple(str(x) for x in labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.size:
             raise ValueError("labels must match the carrier size")
+
+    @classmethod
+    def _built(cls, groups: Iterable[FiniteGroup], op: Sequence[tuple[int, ...]],
+               labels=None) -> "MCQ":
+        """A structure on rows that the library computed itself: at least
+        one group and a carrier x carrier square of tuples of carrier
+        indices, which __init__ would only copy and check again cell by
+        cell.  The offsets and group_of are still derived."""
+        x = cls.__new__(cls)
+        x._fill(tuple(groups), tuple(op), labels)
+        return x
 
     @property
     def group_count(self) -> int:
@@ -129,16 +144,23 @@ def check_mcq_axioms(x: MCQ) -> Optional[McqViolation]:
     common group.  The witness is the first in scan order (see
     _first_violation, which runs only on a structure that fails).
 
-    The decision uses generating sets: Gamma_lam, a greedy generating set of
-    G_lam grown from its identity, and Z, one of the whole structure under *
-    and the group products (see generators).  Conjugation and the identity
-    action are checked in full; x * (a b) == (x * a) * b for all x, a and
-    b in Gamma_lam; equivariance for all a, x and b in Gamma_lam with e_lam;
-    self-distributivity for z in Z, y in the union of the Gamma_lam and all
-    x.  Writing S_z for x -> x * z, this is exact:
+    The decision uses generating sets: Gamma_lam, the greedy picks of G_lam
+    under right multiplication from its identity (see action_generators,
+    O(|G_lam| |Gamma_lam|) products), and Z, a greedy generating set of the
+    whole structure under * and the group products (see generators).
+    Conjugation and the identity action are checked in full;
+    x * (a b) == (x * a) * b for all x, a and b in Gamma_lam; equivariance
+    for all a, x and b in Gamma_lam with e_lam; self-distributivity for z in
+    Z, y in the union of the Gamma_lam and all x.  Writing S_z for
+    x -> x * z, this is exact:
 
+    - the span of Gamma_lam is G_lam and lies inside the closure of e_lam
+      and Gamma_lam under the group product, on any table, so a set closed
+      under products holding both is G_lam (in a group the span is the
+      subgroup generated, and the picks are those of generators);
     - the b of G_lam passing the action check for all x, a are closed under
-      products, since S_(a b1 b2) = S_b2 S_(a b1) = S_b2 S_b1 S_a;
+      products, since S_(a b1 b2) = S_b2 S_(a b1) = S_b2 S_b1 S_a, and
+      e_lam passes, acting trivially;
     - the b passing equivariance for all a at one x are closed under
       products, and b = e_lam puts every a * x into one group;
     - for fixed z, the y with S_z S_y = S_(y * z) S_z are closed under the
@@ -170,7 +192,7 @@ def _holds(x: MCQ) -> bool:
         e = x.identity_of(lam)
         if cols[e] != carrier:
             return False
-        gammas.append(generators(span, (e,), lambda a, b: (x.gmul(a, b), x.gmul(b, a))))
+        gammas.append(action_generators(span, (e,), x.gmul))
     for lam, gamma in enumerate(gammas):
         span = x.group_range(lam)
         for b in gamma:
@@ -229,17 +251,21 @@ def _first_violation(x: MCQ) -> Optional[McqViolation]:
 
 def conjugation_mcq(group: FiniteGroup) -> MCQ:
     """A single group with x * a = a^-1 x a: its conjugation quandle's table."""
-    return MCQ((group,), conj_quandle(group).table, group.labels)
+    return MCQ._built((group,), conj_quandle(group).table, group.labels)
 
 
-def associated_mcq(q: FiniteQuandle) -> MCQ:
+def associated_mcq(q: FiniteQuandle, m: Optional[int] = None) -> MCQ:
     """The structure on pairs (x, g), x a quandle element and g in Z_m with m
     the quandle's type: (x, g) * (y, h) = (x *^h y, h^-1 g h) = (x *^h y, g),
     since Z_m is abelian.  The pair (x, g) is carrier index x m + g, so the
     row of (x, g) is the row of (x, 0) plus g.
+
+    m defaults to type_of(q); a caller that knows the type already, such as
+    the order of t on an Alexander quandle's module, passes it.
     """
-    m = type_of(q)
+    m = type_of(q) if m is None else m
     n = q.size
+    table = q.table
     ys = range(n)
     # shared int objects: firsts[x] == x m and shifts[g][i] == i + g
     carrier = list(range(n * m))
@@ -247,14 +273,15 @@ def associated_mcq(q: FiniteQuandle) -> MCQ:
     shifts = [carrier[g:] for g in range(m)]
     op = []
     for xx in ys:
-        base = [0] * (n * m)
+        base = [firsts[xx]] * (n * m)  # the entries for h = 0: xx *^0 y == xx
         power = [xx] * n  # power[y] == xx *^h y
-        for h in range(m):
+        for h in range(1, m):
+            power = list(map(getitem, map(table.__getitem__, power), ys))
             base[h::m] = map(firsts.__getitem__, power)
-            power = list(map(getitem, map(q.table.__getitem__, power), ys))
-        op.extend(tuple(map(shift.__getitem__, base)) for shift in shifts)
+        # a one-entry itemgetter gives no tuple: the carrier of one pair is (0,)
+        op.extend(map(itemgetter(*base), shifts) if n * m > 1 else [(0,)])
     labels = list(map(pair_labeler(q.label, m), carrier))
-    return MCQ((cyclic_group(m),) * n, op, labels)
+    return MCQ._built((cyclic_group(m),) * n, op, labels)
 
 
 def pair_labeler(label, m: int):

@@ -202,11 +202,16 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
     increasing (see _first_violation, which runs only on a table that fails).
 
     Deciding the axioms needs self-distributivity only for c in a generating
-    set Z of the quandle (see generators), n^2 work per generator instead of
-    n^3.  This is exact once the columns are bijections: the c whose column
-    map S_c: x -> x * c is an automorphism of (X, *) are closed under *,
+    set Z of the quandle, n^2 work per generator instead of n^3.  This is
+    exact once the columns are bijections: the c whose column map
+    S_c: x -> x * c is an automorphism of (X, *) are closed under *,
     because S_(c1 * c2) = S_c2 S_c1 S_c2^-1 when S_c2 is one, and a subset
-    closed under * holding Z is everything.
+    closed under * holding Z is everything.  Z is the picks of
+    action_generators under x -> x * p, O(n |Z|) products where generators
+    multiplies every pair: their span is everything and lies inside the
+    closure of Z under *, on any table (see there).  On a quandle the two
+    pick the same Z: S_(y * p) = S_p^-1 S_y S_p puts S_y, for every y in
+    the span, in the group the S_p generate, so the span is closed under *.
     """
     return None if _holds(q) else _first_violation(q)
 
@@ -214,8 +219,9 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
 def _holds(q: FiniteQuandle) -> bool:
     if any(q.table[a][a] != a for a in range(q.size)) or check_columns(q) is not None:
         return False
-    cols = [list(col) for col in zip(*q.table)]
-    return _distributes(cols, generators(range(q.size), (), _quandle_products(q)),
+    t = q.table
+    cols = [list(col) for col in zip(*t)]
+    return _distributes(cols, action_generators(range(q.size), (), lambda x, p: t[x][p]),
                         range(q.size))
 
 

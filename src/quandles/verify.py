@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .alexander import (alexander_decomposition, alexander_quandle, component_ideal, dihedral,
-                        dihedral_presentation, gcd_chain, orbit_count)
+from .alexander import (alexander_components, alexander_decomposition, alexander_quandle,
+                        component_ideal, dihedral, dihedral_presentation, gcd_chain, orbit_count)
 from .group import (FiniteGroup, check_group, conj_components, conj_decomposition, conj_quandle,
                     conjugacy_classes, cyclic_group, symmetric_group)
 from .decomposition import Decomposition, maximal_decomposition
@@ -29,6 +29,7 @@ from .mcq import (
     associated_mcq,
     check_associated_axioms,
     check_mcq_axioms,
+    conjugation_mcq,
     generated_sub_mcq,
     is_sub_mcq,
     lambda_orbits,
@@ -44,6 +45,7 @@ from .quandle import (
     generated_subquandle,
     generators,
     is_connected,
+    op_pow,
     subquandle,
     trivial_quandle,
     type_of,
@@ -892,6 +894,57 @@ def suite_group_assoc_certificate(rng, cases=PROPERTY_CASES) -> int:
     return failures
 
 
+def reference_associated_op(q: FiniteQuandle, m: int) -> list[list[int]]:
+    """associated_mcq(q)'s table one cell at a time: (x, g) * (y, h) is
+    (x *^h y, g), at carrier index (x *^h y) m + g, as reference code."""
+    return [[op_pow(q, i // m, j % m, j // m) * m + i % m for j in range(q.size * m)]
+            for i in range(q.size * m)]
+
+
+def same_structure(x: MCQ, y: MCQ) -> bool:
+    """Whether two structures agree field by field, their groups too, the
+    rows as tuples."""
+    return ([(g.to_json(), g.inv) for g in x.groups] == [(g.to_json(), g.inv) for g in y.groups]
+            and x.op == y.op and type(x.op) is type(y.op) is tuple
+            and all(type(row) is tuple for row in x.op) and x.offsets == y.offsets
+            and x.group_of == y.group_of and x.labels == y.labels and x.size == y.size)
+
+
+def suite_assoc_presentation(rng, cases=PROPERTY_CASES) -> int:
+    """The associated structure and the components from the module
+    presentation against the table path, on the carrier of one pair and
+    then on seeded modules, quandles and near-quandles: associated_mcq
+    given the type module.t_order equals associated_mcq working the type
+    out, the structure MCQ._built returns equals the one the validating
+    constructor makes of the same rows (and so for conjugation_mcq), and
+    the rows are (x *^h y, g) cell by cell, up to carrier 96;
+    alexander_components equals level 1 of alexander_decomposition, with
+    module.eval_modulus blocks."""
+    failures = 0
+    for case in range(-1, cases):
+        module = build(dihedral_presentation(1)) if case < 0 else random_index_module(rng)
+        q = alexander_quandle(module).quandle
+        comps = alexander_components(module)
+        ok = comps == alexander_decomposition(module).levels[1]
+        ok = ok and len(comps) == module.eval_modulus
+        m = module.t_order
+        if q.size * m <= 96:
+            ok = ok and same_structure(associated_mcq(q, m), associated_mcq(q))
+        p = q if case < 0 else _random_quandle(rng, max_size=12)
+        if case % 2:
+            p = near_quandle(rng, p)
+        m = type_of(p)
+        if p.size * m <= 96:
+            x = associated_mcq(p)
+            ok = ok and same_structure(x, MCQ(x.groups, x.op, x.labels))
+            ok = ok and x.op == tuple(map(tuple, reference_associated_op(p, m)))
+        g = cyclic_group(rng.randint(1, 8)) if case % 3 else symmetric_group(rng.randint(1, 4))
+        x = conjugation_mcq(g)
+        ok = ok and same_structure(x, MCQ((g,), conj_quandle(g).table, g.labels))
+        failures += not ok
+    return failures
+
+
 PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("constructor-axioms", suite_constructor_axioms),
     ("split-identity", suite_split_identity),
@@ -907,6 +960,7 @@ PROPERTY_SUITES: tuple[tuple[str, Callable], ...] = (
     ("iso-generators", suite_iso_generators),
     ("conj-group", suite_conj_group),
     ("group-assoc-certificate", suite_group_assoc_certificate),
+    ("assoc-presentation", suite_assoc_presentation),
 )
 
 

@@ -4,6 +4,7 @@ import random
 from quandles import (
     LaurentPoly,
     Partition,
+    alexander_components,
     alexander_decomposition,
     alexander_quandle,
     build,
@@ -256,6 +257,18 @@ class TestAlexanderDecomposition:
     def test_components_count_is_eval_modulus(self):
         for module in _tower_grid():
             assert len(alexander_decomposition(module).levels[1]) == module.eval_modulus, module
+
+    def test_components_are_the_first_level(self):
+        for module in _tower_grid():
+            comps = alexander_components(module)
+            assert comps == alexander_decomposition(module).levels[1], module
+            assert comps == connected_components(alexander_quandle(module).quandle), module
+
+    def test_components_of_a_deep_tower(self):
+        # a depth-9 tower of up to 512 blocks, of which level 1 has 2
+        module = build(parse_ideal("8; t^3+3t^2+5t+5"))
+        assert alexander_decomposition(module).depth == 9
+        assert alexander_components(module).sizes() == (256, 256)
 
     def test_trivial_module_has_depth_zero(self):
         dec = alexander_decomposition(build(parse_ideal("1; t+1")))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from quandles import alexander_quandle, build, dihedral, parse_ideal, symmetric_group
-from quandles import cli
+from quandles import cli, group
 from quandles.cli import main
 from quandles.decomposition import maximal_decomposition
 from quandles.group import conj_quandle, cyclic_group
@@ -264,6 +264,10 @@ class TestTableLoading:
         assert len(blocks) == 11
 
 
+def _refuse_type_of(*args, **kwargs):
+    raise AssertionError("the type was worked out from the table")
+
+
 class TestAlexanderSources:
     """components/maxdecomp on a lone Alexander source skip the table; the
     output must match the table path byte for byte."""
@@ -272,7 +276,7 @@ class TestAlexanderSources:
                ("1; t+1", "6; t^2+t+1", "12; t+5", "6; 2t+4; t^2+t+1", "8; t^2+1; 2t+2")]
     SOURCES += [("--dihedral", str(m)) for m in (1, 6, 9, 16)]
 
-    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "assoc"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("flag,value", SOURCES)
     def test_matches_table_path(self, capsys, tmp_path, verb, fmt, flag, value):
@@ -287,7 +291,19 @@ class TestAlexanderSources:
         assert direct == tabled
         assert direct[0] == 0 and direct[1]
 
-    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    @pytest.mark.parametrize("argv", [["--alexander", "75; t + 43"], ["--dihedral", "12"]],
+                             ids=["linear", "dihedral"])
+    def test_assoc_takes_the_type_from_t(self, capsys, tmp_path, monkeypatch, argv):
+        q = alexander_quandle(build(parse_ideal("75; t + 43" if argv[0] == "--alexander"
+                                                else "12; t+1"))).quandle
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(q.to_json()))
+        tabled = run(capsys, "assoc", "--table", str(path), "--assoc", "--format", "json")
+        assert json.loads(tabled[1]) == associated_mcq(q).to_json()
+        monkeypatch.setattr("quandles.mcq.type_of", _refuse_type_of)
+        assert run(capsys, "assoc", *argv, "--assoc", "--format", "json") == tabled
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "assoc"])
     @pytest.mark.parametrize("argv,code,err", [
         (["--dihedral", "0"], 2, "error: order must be positive\n"),
         (["--dihedral", "x"], 2, "error: invalid literal for int() with base 10: 'x'\n"),
@@ -372,11 +388,15 @@ class TestConjGroupSources:
                                                                  expected):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"mult": mult}))
-        reads = []
+        reads, scans = [], []
         load_json = cli._load_json
         monkeypatch.setattr(cli, "_load_json", lambda p: reads.append(p) or load_json(p))
+        first_nonassociative = group._first_nonassociative
+        monkeypatch.setattr(group, "_first_nonassociative",
+                            lambda g: scans.append(g) or first_nonassociative(g))
         assert run(capsys, verb, "--group", str(path), "--conj", "--unchecked") == expected
         assert reads == [str(path)]  # the table path takes the loaded group
+        assert scans == []  # the eligibility test needs no witness
         # checked, the loader refuses it
         code, out, err = run(capsys, verb, "--group", str(path), "--conj")
         assert (code, out) == (3, "") and err.startswith("invalid table: associativity fails")

@@ -26,7 +26,11 @@ from quandles import (
     type_of,
 )
 from quandles.mcq import McqViolation, _first_violation
-from quandles.verify import near_quandle, random_small_mcq, substructure_criteria
+from quandles.verify import near_quandle, random_small_mcq, same_structure, substructure_criteria
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the type was worked out from the table")
 
 
 def mcq_isomorphic_by(x, y, carrier_map):
@@ -66,6 +70,23 @@ class TestAssociatedMcq:
         x = associated_mcq(tetrahedral.quandle)
         assert x.group_count == 4
         assert x.size == 12
+
+    @pytest.mark.parametrize("ideal", ["1; t+1", "2; t^2+t+1", "7; t+4", "9; t+2", "8; t^2+3"])
+    def test_the_type_of_the_module_is_taken_as_given(self, monkeypatch, ideal):
+        module = build(parse_ideal(ideal))
+        q = alexander_quandle(module).quandle
+        expected = associated_mcq(q)
+        monkeypatch.setattr("quandles.mcq.type_of", _refuse)
+        assert same_structure(associated_mcq(q, module.t_order), expected)
+
+    @pytest.mark.parametrize("q", [trivial_quandle(1), trivial_quandle(3), dihedral(2).quandle,
+                                   dihedral(6).quandle], ids=["carrier-1", "trivial-3",
+                                                              "dihedral-2", "dihedral-6"])
+    def test_built_equals_the_validated_structure(self, q):
+        x = associated_mcq(q)
+        assert same_structure(x, MCQ(x.groups, x.op, x.labels))
+        if x.size == 1:
+            assert x.op == ((0,),) and x.labels == ("(0;0)",)
 
     @pytest.mark.parametrize("source,m", [
         ("dihedral-4", 2), ("tetrahedral", 3), ("7; t+3", 3), ("7; t+4", 6), ("conj-s3", 6)],
