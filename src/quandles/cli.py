@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+# dihedral and parse_poly go unused here but stay importable: perfbench/spans.py binds them
 from .alexander import (alexander_components, alexander_decomposition, alexander_quandle,
                         component_ideal, dihedral, dihedral_presentation, gcd_chain)
 from .decomposition import maximal_decomposition
@@ -25,7 +26,7 @@ from .mcq import (MCQ, associated_decomposition, associated_mcq, check_associate
                   check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition, pair_labeler)
 from .quandle import (FiniteQuandle, InvalidTable, check_axioms, check_columns,
                       connected_components, find_isomorphism, type_of)
-from .tmodule import UnsupportedPresentation, build, parse_ideal
+from .tmodule import FiniteTModule, UnsupportedPresentation, build, parse_generators, parse_ideal
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -79,39 +80,32 @@ def _load_json(path):
 
 
 def _resolve_one(kind, value, args):
+    """A source as the cheapest object that answers for it: the module of
+    --alexander or --dihedral, the group of a group source, the loaded table
+    of --table and the loaded MCQ of --mcq.  An unchecked group file that is
+    not associative becomes its conjugation table: only then can the columns
+    of that table fail to be bijections, and with --unchecked every verb but
+    `axioms`, which reports the violation, refuses such a table."""
     if kind == "alexander":
-        return alexander_quandle(build(parse_ideal(value))).quandle
+        return build(parse_ideal(value))
     if kind == "dihedral":
-        return dihedral(int(value)).quandle
+        return build(dihedral_presentation(int(value)))
     if kind == "table":
-        return FiniteQuandle.from_json(_load_json(value), check=not args.unchecked)
-    if kind == "symmetric":
-        return symmetric_group(int(value))
-    if kind == "cyclic":
-        return cyclic_group(int(value))
-    if kind == "group":
-        return FiniteGroup.from_json(_load_json(value), check=not args.unchecked)
-    if kind == "mcq":
-        return MCQ.from_json(_load_json(value), check=not args.unchecked)
-    raise AssertionError(kind)
-
-
-def _resolve_sources(args, count=1):
-    sources = list(getattr(args, "sources", ()) or ())
-    if len(sources) != count:
-        need = "exactly one source flag" if count == 1 else f"exactly {count} source flags"
-        raise SystemExit2(f"this command needs {need}", EXIT_PARSE)
-    return [_tabled(_resolve_one(kind, value, args), args) for kind, value in sources]
-
-
-def _tabled(obj, args):
-    """A resolved source as the table path takes it: a group becomes its
-    conjugation quandle, and with --unchecked the columns are checked."""
+        obj = FiniteQuandle.from_json(_load_json(value), check=not args.unchecked)
+    elif kind == "mcq":
+        obj = MCQ.from_json(_load_json(value), check=not args.unchecked)
+    elif kind == "symmetric":
+        obj = symmetric_group(int(value))
+    elif kind == "cyclic":
+        obj = cyclic_group(int(value))
+    else:
+        obj = FiniteGroup.from_json(_load_json(value), check=not args.unchecked)
     if isinstance(obj, FiniteGroup):
         if not args.conj:
             raise SystemExit2("group sources need --conj", EXIT_PARSE)
+        if kind != "group" or not args.unchecked or is_associative(obj):
+            return obj
         obj = conj_quandle(obj)
-    # only `axioms` may go on with broken columns: it reports the violation
     if args.unchecked and args.verb != "axioms":
         bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle(obj.op))
         if bad is not None:
@@ -120,41 +114,20 @@ def _tabled(obj, args):
     return obj
 
 
-def _alexander_module(args):
-    """The module of a lone --alexander or --dihedral source, whose
-    decomposition and type need no table, with or without --assoc; None for
-    every other source."""
-    sources = getattr(args, "sources", None) or ()
-    if len(sources) != 1:
-        return None
-    kind, value = sources[0]
-    if kind == "alexander":
-        return build(parse_ideal(value))
-    if kind == "dihedral":
-        return build(dihedral_presentation(int(value)))
-    return None
+def _resolve_sources(args, count=1):
+    sources = list(getattr(args, "sources", ()) or ())
+    if len(sources) != count:
+        need = "exactly one source flag" if count == 1 else f"exactly {count} source flags"
+        raise SystemExit2(f"this command needs {need}", EXIT_PARSE)
+    return [_resolve_one(kind, value, args) for kind, value in sources]
 
 
-def _conj_group(args):
-    """The group of a lone --symmetric, --cyclic or --group source taken
-    with --conj and without --assoc, whose conjugation quandle decomposes
-    from the multiplication rows (conj_components, conj_decomposition);
-    None for every other source.  An unchecked group file qualifies only
-    when it is associative: then the columns of its conjugation quandle
-    are bijections, so check_columns could not refuse it.  Otherwise the
-    loaded group goes on along the table path, as _resolve_sources would
-    give it without reading the file again: the same blocks or the same
-    refusal as before."""
-    sources = getattr(args, "sources", None) or ()
-    if len(sources) != 1 or not args.conj or args.assoc:
-        return None
-    kind, value = sources[0]
-    if kind not in ("symmetric", "cyclic", "group"):
-        return None
-    g = _resolve_one(kind, value, args)
-    if kind == "group" and args.unchecked and not is_associative(g):
-        return _tabled(g, args)
-    return g
+def _quandle(src):
+    """The operation table of a resolved quandle source, for the verbs that
+    need one."""
+    if isinstance(src, FiniteTModule):
+        return alexander_quandle(src).quandle
+    return conj_quandle(src) if isinstance(src, FiniteGroup) else src
 
 
 class SystemExit2(Exception):
@@ -170,11 +143,10 @@ def _emit(args, payload, text_fn):
         print(text_fn())
 
 
-def _labeler(module, obj):
-    """Element labels of the module's Alexander quandle, or of the quandle
-    `obj` when there is no module.  Called for text output only, since
-    listing a module's labels costs O(order)."""
-    return module.labels().__getitem__ if module is not None else obj.label
+def _labeler(src):
+    """Element labels of a resolved source.  Called for text output only,
+    since listing a module's labels costs O(order)."""
+    return src.labels().__getitem__ if isinstance(src, FiniteTModule) else src.label
 
 
 def _blocks_text(label, blocks, header):
@@ -185,13 +157,13 @@ def _blocks_text(label, blocks, header):
 
 
 def _cmd_axioms(args):
-    obj = _resolve_sources(args)[0]
-    if isinstance(obj, MCQ):
-        bad = check_mcq_axioms(obj)
+    src = _resolve_sources(args)[0]
+    if isinstance(src, MCQ):
+        bad = check_mcq_axioms(src)
     elif args.assoc:
-        bad = check_associated_axioms(obj)
+        bad = check_associated_axioms(_quandle(src))
     else:
-        bad = check_axioms(obj)
+        bad = check_axioms(_quandle(src))
     if bad is None:
         _emit(args, {"ok": True}, lambda: "ok")
         return EXIT_OK
@@ -203,47 +175,45 @@ def _cmd_axioms(args):
 def _cmd_components(args):
     # with --assoc, the index orbits of the associated structure are the
     # quandle's components (see mcq.associated_decomposition)
-    module = _alexander_module(args)
-    obj = None if module is not None else _conj_group(args) or _resolve_sources(args)[0]
-    if isinstance(obj, MCQ):
-        part = lambda_orbits(obj)
-    elif module is not None:
-        part = alexander_components(module)
-    elif isinstance(obj, FiniteGroup):
-        part = conj_components(obj)
+    src = _resolve_sources(args)[0]
+    if isinstance(src, MCQ):
+        part = lambda_orbits(src)
+    elif isinstance(src, FiniteTModule):
+        part = alexander_components(src)
+    elif isinstance(src, FiniteGroup):
+        part = conj_components(src)
     else:
-        part = connected_components(obj)
-    if isinstance(obj, MCQ) or args.assoc:
+        part = connected_components(src)
+    if isinstance(src, MCQ) or args.assoc:
         header = f"{len(part)} index orbit(s):"
         text = lambda: _blocks_text(str, part.blocks, header)
     else:
         header = f"{len(part)} connected component(s), sizes {list(part.sizes())}:"
-        text = lambda: _blocks_text(_labeler(module, obj), part.blocks, header)
+        text = lambda: _blocks_text(_labeler(src), part.blocks, header)
     _emit(args, {"blocks": part.to_json()}, text)
     return EXIT_OK
 
 
 def _cmd_maxdecomp(args):
-    module = _alexander_module(args)
-    obj = None if module is not None else _conj_group(args) or _resolve_sources(args)[0]
-    if isinstance(obj, MCQ):
-        return _emit_mcq_decomposition(args, maximal_mcq_decomposition(obj), lambda: obj.label)
-    if module is not None:
-        dec = alexander_decomposition(module)
-    elif isinstance(obj, FiniteGroup):
-        dec = conj_decomposition(obj)
+    src = _resolve_sources(args)[0]
+    if isinstance(src, MCQ):
+        return _emit_mcq_decomposition(args, maximal_mcq_decomposition(src), lambda: src.label)
+    if isinstance(src, FiniteTModule):
+        dec = alexander_decomposition(src)
+    elif isinstance(src, FiniteGroup):
+        dec = conj_decomposition(src)
     else:
-        dec = maximal_decomposition(obj)
+        dec = maximal_decomposition(src)
     if args.assoc:
-        m = module.t_order if module is not None else type_of(obj)
+        m = src.t_order if isinstance(src, FiniteTModule) else type_of(_quandle(src))
         return _emit_mcq_decomposition(args, associated_decomposition(dec, m),
-                                       lambda: pair_labeler(_labeler(module, obj), m))
+                                       lambda: pair_labeler(_labeler(src), m))
 
     def text():
         lines = [f"depth: {dec.depth}"]
         for k, level in enumerate(dec.levels):
             lines.append(f"level {k}: {len(level)} block(s), sizes {list(level.sizes())}")
-        lines.append(_blocks_text(_labeler(module, obj), dec.final.blocks, "final blocks:"))
+        lines.append(_blocks_text(_labeler(src), dec.final.blocks, "final blocks:"))
         return "\n".join(lines)
 
     _emit(args, dec.to_json(), text)
@@ -266,9 +236,10 @@ def _emit_mcq_decomposition(args, dec, labeler):
 
 
 def _cmd_iso(args):
-    q1, q2 = _resolve_sources(args, count=2)
-    if args.assoc or isinstance(q1, MCQ) or isinstance(q2, MCQ):
+    sources = _resolve_sources(args, count=2)
+    if args.assoc or any(isinstance(src, MCQ) for src in sources):
         raise SystemExit2("iso compares quandles, not MCQs", EXIT_PARSE)
+    q1, q2 = map(_quandle, sources)
     phi = find_isomorphism(q1, q2)
     if phi is None:
         _emit(args, {"isomorphic": False}, lambda: "no isomorphism")
@@ -306,11 +277,7 @@ def _cmd_build(args):
 
 
 def _cmd_theory(args):
-    gens = []
-    for chunk in args.generators.split(";"):
-        if not chunk.strip():
-            raise ParseError("expected a polynomial", 0)
-        gens.append(parse_poly(chunk))
+    gens = parse_generators(args.generators)
     result = component_ideal(gens)
     payload = {
         "orbit_count": result.orbit_count,
@@ -358,13 +325,10 @@ def _cmd_prop56(args):
 
 
 def _cmd_assoc(args):
+    src = _resolve_sources(args)[0]
     # an Alexander quandle's type is the order of t on its module
-    module = _alexander_module(args)
-    if module is not None:
-        x = associated_mcq(alexander_quandle(module).quandle, module.t_order)
-    else:
-        obj = _resolve_sources(args)[0]
-        x = obj if isinstance(obj, MCQ) else associated_mcq(obj)
+    m = src.t_order if isinstance(src, FiniteTModule) else None
+    x = src if isinstance(src, MCQ) else associated_mcq(_quandle(src), m)
     payload = x.to_json()
 
     def text():

@@ -79,18 +79,11 @@ class IdealPresentation:
         return "; ".join([str(self.modulus)] + [format_poly(f) for f in self.polys])
 
 
-def parse_ideal(text: str) -> IdealPresentation:
-    """Parse 'n; p1; p2; ...' into a presentation."""
-    parts = text.split(";")
-    head = parts[0].strip()
-    if not head or not head.lstrip("+-").isdigit():
-        raise ParseError("expected an integer modulus", 0)
-    n = int(head)
-    if n < 1:
-        raise ParseError("modulus must be positive", 0)
+def parse_generators(text: str, offset: int = 0) -> tuple[LaurentPoly, ...]:
+    """Parse 'p1; p2; ...', with error positions counted from `offset`, the
+    position of text in the argument it was cut from."""
     polys = []
-    offset = len(parts[0]) + 1
-    for part in parts[1:]:
+    for part in text.split(";"):
         if not part.strip():
             raise ParseError("expected a polynomial", offset)
         try:
@@ -98,7 +91,19 @@ def parse_ideal(text: str) -> IdealPresentation:
         except ParseError as exc:
             raise ParseError(exc.message, offset + exc.position) from None
         offset += len(part) + 1
-    return IdealPresentation(n, tuple(polys))
+    return tuple(polys)
+
+
+def parse_ideal(text: str) -> IdealPresentation:
+    """Parse 'n; p1; p2; ...' into a presentation."""
+    first, sep, rest = text.partition(";")
+    head = first.strip()
+    if not head or not head.lstrip("+-").isdigit():
+        raise ParseError("expected an integer modulus", 0)
+    n = int(head)
+    if n < 1:
+        raise ParseError("modulus must be positive", 0)
+    return IdealPresentation(n, parse_generators(rest, len(first) + 1) if sep else ())
 
 
 def presentation_from_generators(gens) -> IdealPresentation:

@@ -123,6 +123,12 @@ class TestComputeCommands:
         assert data["orbit_count"] == 3
         assert "4+2t" in data["component_ideal"]
 
+    @pytest.mark.parametrize("gens,position", [("t+1; t+x", 7), ("t+1;;t", 4), ("t+1;", 4),
+                                               ("t^", 2), ("", 0)])
+    def test_theory_parse_error_counts_from_the_argument(self, capsys, gens, position):
+        code, out, err = run(capsys, "theory", gens)
+        assert (code, out) == (2, "") and err.endswith(f"(position {position})\n")
+
     def test_axioms_ok(self, capsys):
         code, out, _ = run(capsys, "axioms", "--dihedral", "7")
         assert code == 0
@@ -338,11 +344,12 @@ class TestConjGroupSources:
     COLLISION = ("invalid table: right translations are not bijections "
                  "(right-invertibility fails at (3, 4, 1))\n")
 
+    SOURCES = [("--symmetric", "5"), ("--cyclic", "12"), ("--group", "s4.json")]
+
     @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("flag,value", [("--symmetric", "5"), ("--cyclic", "12"),
-                                            ("--group", "s4.json")])
-    def test_matches_table_path(self, capsys, tmp_path, verb, fmt, flag, value):
+    @pytest.mark.parametrize("flag,value", SOURCES)
+    def test_matches_table_path(self, capsys, tmp_path, verb, fmt, flag, value, assoc=()):
         g = symmetric_group(5 if flag == "--symmetric" else 4)
         if flag == "--cyclic":
             g = cyclic_group(12)
@@ -351,10 +358,16 @@ class TestConjGroupSources:
             Path(value).write_text(json.dumps(g.to_json()))
         path = tmp_path / "q.json"
         path.write_text(json.dumps(conj_quandle(g).to_json()))
-        direct = run(capsys, verb, flag, value, "--conj", "--format", fmt)
-        tabled = run(capsys, verb, "--table", str(path), "--format", fmt)
+        direct = run(capsys, verb, flag, value, "--conj", *assoc, "--format", fmt)
+        tabled = run(capsys, verb, "--table", str(path), *assoc, "--format", fmt)
         assert direct == tabled
         assert direct[0] == 0 and direct[1]
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("flag,value", SOURCES)
+    def test_assoc_matches_table_path(self, capsys, tmp_path, verb, fmt, flag, value):
+        self.test_matches_table_path(capsys, tmp_path, verb, fmt, flag, value, ("--assoc",))
 
     @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
     def test_builds_no_conjugation_table(self, capsys, tmp_path, monkeypatch, verb):
@@ -372,6 +385,10 @@ class TestConjGroupSources:
                                                                  "--unchecked"]):
             code, out, err = run(capsys, verb, "--conj", *argv)
             assert code == 0 and out and err == ""
+        if verb == "components":  # with --assoc, the index orbits are the components
+            code, out, err = run(capsys, verb, "--conj", "--assoc", "--symmetric", "6",
+                                 "--format", "json")
+            assert (code, json.loads(out), err) == (0, {"blocks": dec.levels[1].to_json()}, "")
 
     @pytest.mark.parametrize("verb,mult,expected", [
         ("components", LOOP, (0, "2 connected component(s), sizes [1, 5]:\n"

@@ -146,6 +146,13 @@ class TestFormat:
         assert format_poly(f) == canon
         assert parse_poly(format_poly(f)) == f
 
+    def test_seeded_round_trip(self):
+        # negative exponents, the zero polynomial and coefficients up to 10^6
+        rng = random.Random(11)
+        for _ in range(3000):
+            f = rand_poly(rng, span=8, coeff=10 ** 6) if rng.random() > 0.05 else LaurentPoly()
+            assert parse_poly(format_poly(f)) == f, f
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("text,pos", [

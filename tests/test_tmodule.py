@@ -488,6 +488,15 @@ class TestParseIdeal:
             p = parse_ideal(text)
             assert parse_ideal(p.descriptor()) == p
 
+    def test_seeded_descriptor_round_trip(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            polys = [LaurentPoly({e: rng.randint(-10 ** 6, 10 ** 6)
+                                  for e in range(rng.randint(-4, 0), rng.randint(0, 4) + 1)})
+                     for _ in range(rng.randint(0, 4))]
+            p = IdealPresentation(rng.randint(1, 10 ** 6), tuple(polys))
+            assert parse_ideal(p.descriptor()) == p, p
+
     @pytest.mark.parametrize("text", ["", "x; t", "0; t+1", "-3; t", "6;", "6; ; t"])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
