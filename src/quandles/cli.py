@@ -68,12 +68,6 @@ def _add_source_flags(sub):
                           "multiple conjugation quandle")
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--unchecked", action="store_true",
-                     help="skip axiom validation when loading files")
-
-
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -158,7 +152,9 @@ def _blocks_text(label, blocks, header):
 
 def _cmd_axioms(args):
     src = _resolve_sources(args)[0]
-    if isinstance(src, MCQ):
+    if isinstance(src, (FiniteQuandle, MCQ)) and not args.unchecked:
+        bad = None  # checked as it loaded; --assoc then holds too (check_associated_axioms)
+    elif isinstance(src, MCQ):
         bad = check_mcq_axioms(src)
     elif args.assoc:
         bad = check_associated_axioms(_quandle(src))
@@ -389,7 +385,7 @@ def _add_verify_flags(sub):
     sub.add_argument("--seed", type=int, default=None)
 
 
-# verb -> (handler, add_parser keywords, flags of its own), in usage-line order
+# verb -> (handler, add_parser keywords of the full tree, flags of its own), in usage-line order
 _VERBS = {
     "axioms": (_cmd_axioms, {}, _add_source_flags),
     "components": (_cmd_components, {}, _add_source_flags),
@@ -406,27 +402,42 @@ _VERBS = {
 }
 
 
-def _build_parser(verb=None):
-    """The parser with every verb's subparser, or with `verb`'s alone, which
-    lists every verb on its usage line as the full one does.  The full one keeps
-    argparse's metavar, which names `verb` in its invalid-choice message."""
+def _verb_flags(sub, verb):
+    fn, _, add_flags = _VERBS[verb]
+    add_flags(sub)
+    sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.add_argument("--unchecked", action="store_true",
+                     help="skip axiom validation when loading files")
+    sub.set_defaults(fn=fn)
+    return sub
+
+
+def _build_parser():
+    """The full tree: the top-level parser, then every verb's subparser."""
     parser = argparse.ArgumentParser(
         prog="quandles",
         description="finite quandle and multiple conjugation quandle computations",
     )
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file of flag defaults (same keys as flags)")
-    narrow = {} if verb is None else {"metavar": "{" + ",".join(_VERBS) + "}"}
-    subs = parser.add_subparsers(dest="verb", required=True, **narrow)
-    all_subs = []
-    for name, (fn, keywords, add_flags) in _VERBS.items():
-        if verb in (None, name):
-            sub = subs.add_parser(name, **keywords)
-            add_flags(sub)
-            _add_common_flags(sub)
-            sub.set_defaults(fn=fn)
-            all_subs.append(sub)
-    return parser, all_subs
+    subs = parser.add_subparsers(dest="verb", required=True)
+    return [parser, *(_verb_flags(subs.add_parser(name, **keywords), name)
+                      for name, (_, keywords, _) in _VERBS.items())]
+
+
+def _parse_args(argv):
+    """The namespace of argv, and the full tree's parsers if it was built.
+    That tree hands all tokens after a verb to its subparser, then words two
+    errors itself: leftover tokens, and a token starting --= (ambiguous between
+    --help and --config); it is built only for those, or for no leading verb."""
+    if argv and argv[0] in _VERBS and not any(arg.startswith("--=") for arg in argv):
+        sub = _verb_flags(argparse.ArgumentParser(prog="quandles " + argv[0]), argv[0])
+        sub.set_defaults(verb=argv[0], config=None)
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args, None
+    parsers = _build_parser()
+    return parsers[0].parse_args(argv), parsers
 
 
 def _config_defaults(path, parsers):
@@ -457,17 +468,14 @@ def _config_defaults(path, parsers):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # every verb's parser only for --config, a top-level -h or a missing or unknown verb
-    parser, all_subs = _build_parser(argv[0] if argv and argv[0] in _VERBS else None)
-    args = parser.parse_args(argv)
+    args, parsers = _parse_args(argv)
     try:
         if args.config:
-            defaults = _config_defaults(args.config, [parser, *all_subs])
+            defaults = _config_defaults(args.config, parsers)
             # subparsers apply their own defaults, so push the overrides into each
-            parser.set_defaults(**defaults)
-            for sub in all_subs:
-                sub.set_defaults(**defaults)
-            args = parser.parse_args(argv)
+            for parser in parsers:
+                parser.set_defaults(**defaults)
+            args = parsers[0].parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

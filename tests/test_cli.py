@@ -166,10 +166,30 @@ class TestTableLoading:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"size": 2, "table": [[1, 0], [1, 1]]}))
         code, _, err = run(capsys, "axioms", "--table", str(path))
-        assert code == 3
+        assert code == 3 and err.startswith("invalid table: ")
         code, out, _ = run(capsys, "axioms", "--table", str(path), "--unchecked")
         assert code == 3  # axioms verb still reports the violation
         assert "idempotency" in out
+
+    @pytest.mark.parametrize("source,flags", [
+        ("table", []), ("table", ["--assoc"]), ("table", ["--format", "json"]),
+        ("mcq", []), ("mcq", ["--format", "json"])])
+    def test_a_checked_file_is_checked_once(self, capsys, monkeypatch, tmp_path, source, flags):
+        import quandles.mcq as mcq
+        import quandles.quandle as quandle
+
+        q = dihedral(6).quandle
+        path = tmp_path / "src.json"
+        path.write_text(json.dumps((associated_mcq(q) if source == "mcq" else q).to_json()))
+        calls = []
+        for module, name in [(quandle, "check_axioms"), (mcq, "check_axioms"),
+                             (cli, "check_axioms"), (mcq, "check_mcq_axioms"),
+                             (cli, "check_mcq_axioms")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, real=real: calls.append(x) or real(x))
+        expected = '{"ok": true}\n' if "json" in flags else "ok\n"
+        assert run(capsys, "axioms", f"--{source}", str(path), *flags) == (0, expected, "")
+        assert len(calls) == 1
 
     def test_unchecked_lets_components_run(self, capsys, tmp_path):
         q = dihedral(5).quandle
@@ -596,45 +616,53 @@ def _parser_grid():
         grid += [[verb, "-h"], [verb, "--bogus"], [verb, "x", "y", "z"], [verb, "--format", "xml"],
                  [verb, "--seed", "q"], ["--config", "cfg.json", verb, "--bogus"]]
         grid += [[verb, *rng.choices(tokens, k=rng.randint(0, 5))] for _ in range(8)]
+    # appended after the seeded draws, which keep their seeds: abbreviations, --config
+    # after the verb, a negative number, "--", and the tokens that the full tree itself
+    # reads before the subparser: an ambiguous "--=" and an explicit argument to --help
+    grid += [["components", "--dihedral", "6", "--form", "json"], ["components", "--al", "5; t+2"],
+             ["components", "--dihedral", "6", "--config", "cfg.json"],
+             ["components", "--dihedral", "6", "--config=cfg.json"],
+             ["prop56", "12", "-5"], ["prop56", "--", "12", "1"]]
+    grid += [[verb, token] for token in ("--=x", "--help=x") for verb in cli._VERBS]
     return grid
 
 
-class _Route(Exception):
-    """Raised in place of building a parser, with the verb asked for."""
+def _counting_builds(monkeypatch):
+    """A list that grows by one each time the full tree is built."""
+    builds = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real())
+    return builds
 
 
-def _route(monkeypatch, call):
-    """The verb main builds its parser for in call(), None for every verb."""
-    def stop(verb=None):
-        raise _Route(verb)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_build_parser", stop)
-        with pytest.raises(_Route) as info:
-            call()
-    return info.value.args[0]
-
-
-def _parse(capsys, parser, argv):
+def _call(capsys, call):
     try:
-        namespace, code = vars(parser.parse_args(argv)), None
+        code = call()
     except SystemExit as exc:
-        namespace, code = None, exc.code
+        code = exc.code
     out = capsys.readouterr()
-    return code, out.out, out.err, namespace
+    return code, out.out, out.err
+
+
+def _parse(capsys, parse):
+    namespace = []
+    code, out, err = _call(capsys, lambda: namespace.append(vars(parse())))
+    return code, out, err, namespace
 
 
 class TestParserRoute:
-    """main builds the subparser of a leading verb alone; that parser must
-    answer every argv as the full parser does, usage and error bytes too."""
+    """main parses a leading verb's arguments with that verb's parser alone,
+    and builds the full tree only for an argv without a leading verb or to
+    word a top-level error; either way, every argv gets the full tree's
+    answer, usage and error bytes too."""
 
     @pytest.mark.parametrize("argv", _parser_grid(), ids=" ".join)
     def test_the_verb_parser_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
-        verb = _route(monkeypatch, lambda: main(argv))
-        assert verb == (argv[0] if argv and argv[0] in cli._VERBS else None)
-        narrow, subs = cli._build_parser(verb)
-        assert len(subs) == (len(cli._VERBS) if verb is None else 1)
-        assert _parse(capsys, narrow, argv) == _parse(capsys, cli._build_parser()[0], argv)
+        full = _parse(capsys, lambda: cli._build_parser()[0].parse_args(argv))
+        builds = _counting_builds(monkeypatch)
+        assert _parse(capsys, lambda: cli._parse_args(argv)[0]) == full
+        top_level_error = full[2].startswith("usage: quandles [-h]")
+        assert len(builds) == (not (argv and argv[0] in cli._VERBS) or top_level_error)
 
     def test_an_unknown_verb_is_named_by_argparse_s_own_metavar(self, capsys):
         with pytest.raises(SystemExit):
@@ -647,9 +675,13 @@ class TestParserRoute:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"format": "json"}))
         monkeypatch.setattr(sys, "argv", ["quandles", *argv])
-        assert _route(monkeypatch, main) == _route(monkeypatch, lambda: main(argv))
-        if argv:
-            assert run(capsys, *argv) == (main(), *capsys.readouterr())
+        builds = _counting_builds(monkeypatch)
+        outcomes = []
+        for call in (main, lambda: main(argv)):
+            builds.clear()
+            outcomes.append((_call(capsys, call), len(builds)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == (argv[:1] != ["components"])
 
     def test_a_process_prints_the_in_process_usage_error(self, capsys, monkeypatch):
         argv = ["components", "--dihedral", "6", "--bogus"]

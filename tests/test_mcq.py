@@ -4,6 +4,7 @@ import pytest
 
 from quandles import (
     MCQ,
+    FiniteGroup,
     InvalidTable,
     alexander_quandle,
     build,
@@ -169,6 +170,17 @@ class TestAxioms:
                    for a in range(4) for b in range(4) for c in range(4))
         assert check_mcq_axioms(x) == _first_violation(x) == McqViolation(
             "product-equivariance", (0, 0, 3))
+
+    def test_an_action_that_fails_only_at_the_second_pick(self):
+        # the Klein four group (xor on 0-3) and the trivial groups {4}, {5}, {6}; the
+        # picks of the Klein group are 1 and 2, rho(1) is trivial, and rho(2) = rho(3)
+        # is the 3-cycle (4 5 6), so rho(2 2) = rho(0) is not rho(2) rho(2)
+        klein = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
+        trivial = cyclic_group(1)
+        cycle = {4: 5, 5: 6, 6: 4}
+        op = [[cycle.get(x, x) if a in (2, 3) else x for a in range(7)] for x in range(7)]
+        x = MCQ((klein, trivial, trivial, trivial), op)
+        assert check_mcq_axioms(x) == _first_violation(x) == McqViolation("group-action", (4, 2, 2))
 
     def test_trivial_quandles_and_trivial_groups(self):
         rng = random.Random(17)
