@@ -152,7 +152,9 @@ def _blocks_text(label, blocks, header):
 
 def _cmd_axioms(args):
     src = _resolve_sources(args)[0]
-    if isinstance(src, (FiniteQuandle, MCQ)) and not args.unchecked:
+    if isinstance(src, FiniteGroup):
+        bad = None  # a group (see _resolve_one): its conjugation is a quandle, --assoc too
+    elif isinstance(src, (FiniteQuandle, MCQ)) and not args.unchecked:
         bad = None  # checked as it loaded; --assoc then holds too (check_associated_axioms)
     elif isinstance(src, MCQ):
         bad = check_mcq_axioms(src)

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
 from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, action_generators,
-                      check_axioms, check_json_fields, closure, generators, orbits, type_of)
+                      check_axioms, check_json_fields, closure, orbits, type_of)
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,10 @@ def check_mcq_axioms(x: MCQ) -> Optional[McqViolation]:
 
     The decision uses generating sets: Gamma_lam, the greedy picks of G_lam
     under right multiplication from its identity (see action_generators,
-    O(|G_lam| |Gamma_lam|) products), and Z, a greedy generating set of the
-    whole structure under * and the group products (see generators).
+    O(|G_lam| |Gamma_lam|) products), and Z, the greedy picks of the whole
+    structure under the group product inside one group and * across groups
+    (see action_generators, O(|X| |Z|) products), which generate it under *
+    and the group products.
     Conjugation and the identity action are checked in full;
     x * (a b) == (x * a) * b for all x, a and b in Gamma_lam; equivariance
     for all a, x and b in Gamma_lam with e_lam; self-distributivity for z in
@@ -156,8 +158,7 @@ def check_mcq_axioms(x: MCQ) -> Optional[McqViolation]:
 
     - the span of Gamma_lam is G_lam and lies inside the closure of e_lam
       and Gamma_lam under the group product, on any table, so a set closed
-      under products holding both is G_lam (in a group the span is the
-      subgroup generated, and the picks are those of generators);
+      under products holding both is G_lam;
     - the b of G_lam passing the action check for all x, a are closed under
       products, since S_(a b1 b2) = S_b2 S_(a b1) = S_b2 S_b1 S_a, and
       e_lam passes, acting trivially;
@@ -209,7 +210,11 @@ def _holds(x: MCQ) -> bool:
                     return False
                 if op[x.gmul(a, b)] != list(map(getitem, map(grows.__getitem__, op[a]), local_b)):
                     return False
-    return _distributes(cols, generators(carrier, (), _sub_mcq_products(x)),
+
+    def act(y, p):  # the group product inside one group, * across groups
+        return grows[y][local[p]] if group_of[y] == group_of[p] else op[y][p]
+
+    return _distributes(cols, action_generators(carrier, (), act),
                         [y for gamma in gammas for y in gamma])
 
 

@@ -207,11 +207,9 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
     S_c: x -> x * c is an automorphism of (X, *) are closed under *,
     because S_(c1 * c2) = S_c2 S_c1 S_c2^-1 when S_c2 is one, and a subset
     closed under * holding Z is everything.  Z is the picks of
-    action_generators under x -> x * p, O(n |Z|) products where generators
-    multiplies every pair: their span is everything and lies inside the
-    closure of Z under *, on any table (see there).  On a quandle the two
-    pick the same Z: S_(y * p) = S_p^-1 S_y S_p puts S_y, for every y in
-    the span, in the group the S_p generate, so the span is closed under *.
+    action_generators under x -> x * p, O(n |Z|) products: their span is
+    everything and lies inside the closure of Z under *, on any table (see
+    there).
     """
     return None if _holds(q) else _first_violation(q)
 
@@ -360,53 +358,24 @@ def orbits(domain: Iterable[int], moves: Callable[[int], Iterable[int]]) -> Part
     return Partition(blocks)
 
 
-def _close(members: list[int], memberset: set[int], done: int, products) -> int:
-    """Append products(a, b) to members until they are closed, given that
-    every pair within members[:done] was multiplied already; returns the new
-    count of multiplied members (all of them)."""
-    while done < len(members):
-        a = members[done]
-        for b in members[:done + 1]:
-            for y in products(a, b):
-                if y not in memberset:
-                    memberset.add(y)
-                    members.append(y)
-        done += 1
-    return done
-
-
 def closure(seeds: Iterable[int], products: Callable[[int, int], Iterable[int]]) -> frozenset[int]:
     """Least set that holds the seeds and products(a, b) for all members a, b.
 
     `products` is called once per unordered pair of members (a == b
-    included), so it must give the products of both orders.
+    included), so it must give the products of both orders: O(|closure|^2)
+    calls.  A generating set comes cheaper from action_generators.
     """
     members = sorted(set(seeds))
     if not members:
         raise ValueError("generating set must be non-empty")
     memberset = set(members)
-    _close(members, memberset, 0, products)
+    for done, a in enumerate(members):  # the loop reaches the members it appends
+        for b in members[:done + 1]:
+            for y in products(a, b):
+                if y not in memberset:
+                    memberset.add(y)
+                    members.append(y)
     return frozenset(memberset)
-
-
-def generators(elements: Iterable[int], start: Iterable[int],
-               products: Callable[[int, int], Iterable[int]]) -> list[int]:
-    """Greedy generating set: the elements, taken in the given order, that
-    the start set and the earlier picks do not generate under `products`
-    (as in closure).  The start set and the picks together generate every
-    element; the closure grows incrementally, so the cost is that of one
-    closure of the whole span."""
-    members = sorted(set(start))
-    memberset = set(members)
-    done = _close(members, memberset, 0, products)
-    picks = []
-    for x in elements:
-        if x not in memberset:
-            picks.append(x)
-            memberset.add(x)
-            members.append(x)
-            done = _close(members, memberset, done, products)
-    return picks
 
 
 def action_generators(elements: Iterable[int], start: Iterable[int],
@@ -416,15 +385,16 @@ def action_generators(elements: Iterable[int], start: Iterable[int],
     The span is the least set that holds both and is closed under
     x -> act(x, p) for every pick p.  It grows breadth first: a new pick is
     applied to the old span, and each new member to every pick, so the cost
-    is O(|span| |picks|) calls of act, where generators multiplies every
-    pair of members.
+    is O(|span| |picks|) calls of act, where closure multiplies every pair
+    of members.
 
     The span lies inside the closure of the start set and the picks under
-    products(a, b) = (act(a, b), act(b, a)) (see closure): each member is a
-    start element, a pick, or act(y, p) for an earlier member y and a pick
-    p, both inside that closure.  So when the span reaches every element,
-    the start set and the picks also generate everything under products, as
-    the output of generators does.
+    any products(a, b) that include act(a, b) (see closure): each member is
+    a start element, a pick, or act(y, p) for an earlier member y and a
+    pick p, both inside that closure.  So when the span reaches every
+    element, the start set and the picks generate everything under those
+    products.  Each element below a pick lies in the span of the earlier
+    picks and the start set.
     """
     span = set(start)
     picks = []
@@ -439,17 +409,13 @@ def action_generators(elements: Iterable[int], start: Iterable[int],
     return picks
 
 
-def _quandle_products(q: FiniteQuandle):
-    t = q.table
-    return lambda a, b: (t[a][b], t[b][a])
-
-
 def generated_subquandle(q: FiniteQuandle, seeds: Iterable[int]) -> frozenset[int]:
     """Least subset containing the seeds and closed under * and its inverse.
 
     Closure under * suffices: x *^-1 a is a power x *^k a (see op_pow).
     """
-    return closure(seeds, _quandle_products(q))
+    t = q.table
+    return closure(seeds, lambda a, b: (t[a][b], t[b][a]))
 
 
 def connected_components(q: FiniteQuandle, ambient: Iterable[int] | None = None) -> Partition:
@@ -504,11 +470,20 @@ class _Mismatch(Exception):
 def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int, ...]]:
     """A table-transporting bijection from q1 to q2, or None.
 
-    Backtracks over the images of q1's greedy generators g1 < g2 < ... (see
-    generators) in ascending order, pruned by the invariants of _profile, and
-    carries each pick along the closure, which sets or checks every product
-    phi(a * b) = phi(a) * phi(b).  Each element below g_k lies in the span of
-    the earlier picks, so the first map found is the lexicographically least.
+    Backtracks over the images of q1's greedy generators g1 < g2 < ... under
+    x -> x * p (see action_generators) in ascending order, pruned by the
+    invariants of _profile, and carries each pick along the span walk of
+    action_generators: the new pick is applied to the old span, and each new
+    member to every pick so far, which sets or checks phi(y * p) =
+    phi(y) * phi(p).  Each element below g_k lies in the span of the
+    earlier picks, so a complete map is fixed by the images of the picks,
+    and complete maps come in lexicographic order: the first that transports
+    is the lexicographically least isomorphism.
+
+    A complete map passes one full transport check before it is accepted.
+    Agreement on the pick edges makes phi a homomorphism only when both
+    tables are right self-distributive (R_(a * b) = R_b^-1 R_a R_b), which
+    an unchecked table or a near-quandle need not be.
     """
     if q1.size != q2.size:
         return None
@@ -519,7 +494,7 @@ def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int
     t1, t2 = q1.table, q2.table
     phi = [-1] * n
     used = [False] * n
-    members: list[int] = []  # mapped elements in closure order, the undo trail
+    members: list[int] = []  # mapped elements in span order, the undo trail
 
     def assign(z: int, v: int) -> None:
         if phi[z] != v:
@@ -529,17 +504,15 @@ def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int
             used[v] = True
             members.append(z)
 
-    def products(a: int, b: int) -> tuple:
-        # maps both products itself, so the closure only walks the pairs
-        assign(t1[a][b], t2[phi[a]][phi[b]])
-        assign(t1[b][a], t2[phi[b]][phi[a]])
-        return ()
-
     def images(g: int):
         # read lazily, against the images in use before g is picked
         return (v for v in range(n) if not used[v] and p2[v] == p1[g])
 
-    gens = generators(range(n), (), _quandle_products(q1))
+    def transports() -> bool:
+        return all(list(map(phi.__getitem__, row)) == list(map(t2[phi[a]].__getitem__, phi))
+                   for a, row in enumerate(t1))
+
+    gens = action_generators(range(n), (), lambda x, p: t1[x][p])
     stack = [(images(gens[0]), 0)]  # per pick: its untried images, len(members) before it
     while stack:
         untried, mark = stack[-1]
@@ -547,15 +520,26 @@ def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int
             used[phi[z]] = False
             phi[z] = -1
         del members[mark:]
+        picks = gens[:len(stack)]
+        g = picks[-1]
         try:
-            assign(gens[len(stack) - 1], next(untried))
-            _close(members, set(), mark, products)
+            assign(g, next(untried))
+            for y in members[:mark]:
+                assign(t1[y][g], t2[phi[y]][phi[g]])
+            i = mark
+            while i < len(members):  # reaches the members that it appends
+                y = members[i]
+                row1, row2 = t1[y], t2[phi[y]]
+                for p in picks:
+                    assign(row1[p], row2[phi[p]])
+                i += 1
         except StopIteration:  # every image of this pick was tried
             stack.pop()
             continue
         except _Mismatch:
             continue
-        if len(stack) == len(gens):
+        if len(stack) < len(gens):
+            stack.append((images(gens[len(stack)]), len(members)))
+        elif transports():
             return tuple(phi)
-        stack.append((images(gens[len(stack)]), len(members)))
     return None

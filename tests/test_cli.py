@@ -191,6 +191,24 @@ class TestTableLoading:
         assert run(capsys, "axioms", f"--{source}", str(path), *flags) == (0, expected, "")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--assoc"], ["--format", "json"]])
+    def test_a_group_source_needs_no_axiom_check(self, capsys, monkeypatch, tmp_path, flags):
+        import quandles.mcq as mcq
+        import quandles.quandle as quandle
+
+        path = tmp_path / "conj-s4.json"
+        path.write_text(json.dumps(conj_quandle(symmetric_group(4)).to_json()))
+        expected = run(capsys, "axioms", "--table", str(path), *flags)
+        calls = []
+        for module, name in [(quandle, "check_axioms"), (mcq, "check_axioms"),
+                             (cli, "check_axioms"), (cli, "check_associated_axioms"),
+                             (cli, "conj_quandle")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, real=real: calls.append(x) or real(x))
+        assert run(capsys, "axioms", "--symmetric", "6", "--conj", *flags) == expected
+        assert run(capsys, "axioms", "--symmetric", "4", "--conj", *flags) == expected
+        assert calls == []
+
     def test_unchecked_lets_components_run(self, capsys, tmp_path):
         q = dihedral(5).quandle
         path = tmp_path / "q.json"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -25,7 +26,7 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
-from quandles.quandle import _first_violation
+from quandles.quandle import _first_violation, action_generators
 from quandles.verify import near_quandle, relabelled, transports
 
 
@@ -325,6 +326,19 @@ class TestIsomorphism:
         phi = find_isomorphism(q, copy)
         assert time.perf_counter() - start < 1.0
         assert phi is not None and transports(phi, q, copy)
+
+    def test_a_map_that_agrees_on_the_pick_edges_but_does_not_transport(self):
+        # two near-quandles (bijective columns, neither a quandle), drawn as
+        # in the iso-generators suite with seed 12345
+        q1 = FiniteQuandle([[0, 3, 2, 0], [2, 1, 1, 2], [1, 2, 3, 1], [3, 0, 0, 3]])
+        q2 = FiniteQuandle([[0, 3, 3, 0], [2, 1, 1, 2], [1, 2, 2, 3], [3, 0, 0, 1]])
+        picks = action_generators(range(4), (), lambda x, p: q1.table[x][p])
+        wrong = (1, 0, 3, 2)  # lexicographically before the isomorphism
+        assert all(wrong[q1.table[y][p]] == q2.table[wrong[y]][wrong[p]]
+                   for y in range(4) for p in picks)
+        assert not transports(wrong, q1, q2)
+        first = next(p for p in itertools.permutations(range(4)) if transports(p, q1, q2))
+        assert find_isomorphism(q1, q2) == first == (2, 0, 3, 1)
 
     @pytest.mark.parametrize("make", [lambda: dihedral(601).quandle, lambda: trivial_quandle(600)],
                              ids=["dihedral-601", "trivial-600"])
