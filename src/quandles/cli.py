@@ -101,7 +101,7 @@ def _resolve_one(kind, value, args):
             return obj
         obj = conj_quandle(obj)
     if args.unchecked and args.verb != "axioms":
-        bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle(obj.op))
+        bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle._built(obj.op))
         if bad is not None:
             raise InvalidTable("right translations are not bijections "
                                f"({bad.axiom} fails at {bad.witness})")
@@ -152,16 +152,16 @@ def _blocks_text(label, blocks, header):
 
 def _cmd_axioms(args):
     src = _resolve_sources(args)[0]
-    if isinstance(src, FiniteGroup):
-        bad = None  # a group (see _resolve_one): its conjugation is a quandle, --assoc too
-    elif isinstance(src, (FiniteQuandle, MCQ)) and not args.unchecked:
-        bad = None  # checked as it loaded; --assoc then holds too (check_associated_axioms)
+    if not args.unchecked or isinstance(src, (FiniteGroup, FiniteTModule)):
+        # checked as it loaded, or built by the library: a group, whose
+        # conjugation is a quandle (see _resolve_one), or a module, on which
+        # build verified that t is invertible; the associated structure of a
+        # quandle passes the MCQ axioms too (check_associated_axioms)
+        bad = None
     elif isinstance(src, MCQ):
         bad = check_mcq_axioms(src)
-    elif args.assoc:
-        bad = check_associated_axioms(_quandle(src))
     else:
-        bad = check_axioms(_quandle(src))
+        bad = check_associated_axioms(src) if args.assoc else check_axioms(src)
     if bad is None:
         _emit(args, {"ok": True}, lambda: "ok")
         return EXIT_OK
@@ -195,50 +195,44 @@ def _cmd_components(args):
 def _cmd_maxdecomp(args):
     src = _resolve_sources(args)[0]
     if isinstance(src, MCQ):
-        return _emit_mcq_decomposition(args, maximal_mcq_decomposition(src), lambda: src.label)
-    if isinstance(src, FiniteTModule):
+        dec = maximal_mcq_decomposition(src)
+    elif isinstance(src, FiniteTModule):
         dec = alexander_decomposition(src)
     elif isinstance(src, FiniteGroup):
         dec = conj_decomposition(src)
     else:
         dec = maximal_decomposition(src)
-    if args.assoc:
+    label = lambda: _labeler(src)
+    if args.assoc and not isinstance(src, MCQ):
         m = src.t_order if isinstance(src, FiniteTModule) else type_of(_quandle(src))
-        return _emit_mcq_decomposition(args, associated_decomposition(dec, m),
-                                       lambda: pair_labeler(_labeler(src), m))
-
-    def text():
-        lines = [f"depth: {dec.depth}"]
-        for k, level in enumerate(dec.levels):
-            lines.append(f"level {k}: {len(level)} block(s), sizes {list(level.sizes())}")
-        lines.append(_blocks_text(_labeler(src), dec.final.blocks, "final blocks:"))
-        return "\n".join(lines)
-
+        dec, label = associated_decomposition(dec, m), lambda: pair_labeler(_labeler(src), m)
+    if isinstance(src, MCQ) or args.assoc:  # a tower of the index set, then whole groups
+        text = lambda: _tower_text(dec.index_tree, "index block(s)", _blocks_text(
+            label(), dec.carrier_partition.blocks, "carrier blocks:"))
+    else:
+        text = lambda: _tower_text(dec, "block(s)", _blocks_text(
+            label(), dec.final.blocks, "final blocks:"))
     _emit(args, dec.to_json(), text)
     return EXIT_OK
 
 
-def _emit_mcq_decomposition(args, dec, labeler):
-    """Print an MCQ decomposition; labeler() gives the carrier labels, and is
-    called for text output only."""
-
-    def text():
-        lines = [f"depth: {dec.index_tree.depth}"]
-        for k, level in enumerate(dec.index_tree.levels):
-            lines.append(f"level {k}: {len(level)} index block(s), sizes {list(level.sizes())}")
-        lines.append(_blocks_text(labeler(), dec.carrier_partition.blocks, "carrier blocks:"))
-        return "\n".join(lines)
-
-    _emit(args, dec.to_json(), text)
-    return EXIT_OK
+def _tower_text(tree, noun, final):
+    """A refinement tower as text: its depth, the blocks of each level, then
+    final, the text of its final blocks."""
+    levels = [f"level {k}: {len(level)} {noun}, sizes {list(level.sizes())}"
+              for k, level in enumerate(tree.levels)]
+    return "\n".join([f"depth: {tree.depth}", *levels, final])
 
 
 def _cmd_iso(args):
     sources = _resolve_sources(args, count=2)
     if args.assoc or any(isinstance(src, MCQ) for src in sources):
         raise SystemExit2("iso compares quandles, not MCQs", EXIT_PARSE)
-    q1, q2 = map(_quandle, sources)
-    phi = find_isomorphism(q1, q2)
+    if len({src.order if isinstance(src, FiniteTModule) else src.size for src in sources}) > 1:
+        phi = None  # what find_isomorphism answers, before either table is built
+    else:
+        q1, q2 = map(_quandle, sources)
+        phi = find_isomorphism(q1, q2)
     if phi is None:
         _emit(args, {"isomorphic": False}, lambda: "no isomorphism")
     else:

@@ -123,6 +123,26 @@ class TestComputeCommands:
         assert data["orbit_count"] == 3
         assert "4+2t" in data["component_ideal"]
 
+    def test_theory_notes_an_ideal_with_fewer_generators(self, capsys):
+        assert run(capsys, "theory", "12; t+5") == (0, (
+            "generators: 12; 5+t\n"
+            "component count: 6\n"
+            "component ideal: (12; 5+t; 2)\n"
+            "note: ideal equals (2; 5+t)\n"), "")
+        assert run(capsys, "theory", "12; t+5", "--format", "json") == (0, (
+            '{"component_ideal": ["12", "5+t", "2"], "generators": ["12", "5+t"], '
+            '"note": "ideal equals (2; 5+t)", "orbit_count": 6}\n'), "")
+
+    @pytest.mark.parametrize("argv", [
+        ["--alexander", "100000; t+1", "--dihedral", "3"],
+        ["--symmetric", "3", "--conj", "--dihedral", "7"],
+        ["--dihedral", "5", "--alexander", "6; t^2+t+1"]])
+    def test_iso_of_unequal_orders_builds_no_table(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "alexander_quandle", _refuse_work)
+        monkeypatch.setattr(cli, "conj_quandle", _refuse_work)
+        assert run(capsys, "iso", *argv) == (0, "no isomorphism\n", "")
+        assert run(capsys, "iso", *argv, "--format", "json") == (0, '{"isomorphic": false}\n', "")
+
     @pytest.mark.parametrize("gens,position", [("t+1; t+x", 7), ("t+1;;t", 4), ("t+1;", 4),
                                                ("t^", 2), ("", 0)])
     def test_theory_parse_error_counts_from_the_argument(self, capsys, gens, position):
@@ -347,6 +367,31 @@ class TestAlexanderSources:
         monkeypatch.setattr("quandles.mcq.type_of", _refuse_type_of)
         assert run(capsys, "assoc", *argv, "--assoc", "--format", "json") == tabled
 
+    AXIOM_FLAGS = [[], ["--assoc"], ["--unchecked"], ["--assoc", "--unchecked"]]
+
+    @pytest.mark.parametrize("argv", [["--alexander", "6; t^2+t+1"], ["--dihedral", "7"],
+                                      ["--alexander", "100000; t+1"]],
+                             ids=["rank-2", "dihedral", "order-1e5"])
+    def test_axioms_answer_without_a_table(self, capsys, tmp_path, monkeypatch, argv):
+        # build made t invertible, so the quandle and its associated MCQ hold
+        import quandles.mcq as mcq
+        import quandles.quandle as quandle
+
+        ok = (0, "ok\n", "")
+        if argv[1] != "100000; t+1":  # the bytes of the table path
+            ideal = argv[1] if argv[0] == "--alexander" else f"{argv[1]}; t+1"
+            q = alexander_quandle(build(parse_ideal(ideal))).quandle
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps(q.to_json()))
+            for flags in self.AXIOM_FLAGS:
+                assert run(capsys, "axioms", "--table", str(path), *flags) == ok
+        for module in (cli, quandle, mcq):
+            for name in ("alexander_quandle", "check_axioms", "check_associated_axioms"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _refuse_work)
+        for flags in self.AXIOM_FLAGS:
+            assert run(capsys, "axioms", *argv, *flags) == ok
+
     @pytest.mark.parametrize("verb", ["components", "maxdecomp", "assoc"])
     @pytest.mark.parametrize("argv,code,err", [
         (["--dihedral", "0"], 2, "error: order must be positive\n"),
@@ -366,6 +411,10 @@ class TestAlexanderSources:
 
 def _refuse_table(*args, **kwargs):
     raise AssertionError("a conjugation table was built")
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("a table was built or checked for an answer known without it")
 
 
 class TestConjGroupSources:
