@@ -321,14 +321,13 @@ def _cmd_assoc(args):
     # an Alexander quandle's type is the order of t on its module
     m = src.t_order if isinstance(src, FiniteTModule) else None
     x = src if isinstance(src, MCQ) else associated_mcq(_quandle(src), m)
-    payload = x.to_json()
-
-    def text():
-        m = x.groups[0].size
-        return (f"{x.group_count} group(s) of order {m}, carrier size {x.size}\n"
-                f"carrier: " + ", ".join(x.label(i) for i in range(x.size)))
-
-    _emit(args, payload, text)
+    if args.format == "json":
+        print(x.json_text())
+        return EXIT_OK
+    orders = sorted({g.size for g in x.groups})
+    order = f"order {orders[0]}" if len(orders) == 1 else f"orders {orders}"
+    print(f"{x.group_count} group(s) of {order}, carrier size {x.size}\n"
+          f"carrier: " + ", ".join(x.label(i) for i in range(x.size)))
     return EXIT_OK
 
 

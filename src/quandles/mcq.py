@@ -12,6 +12,7 @@ closure follows: * both ways, and the group product inside one group.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -114,6 +115,17 @@ class MCQ:
         if self.labels is not None:
             data["labels"] = list(self.labels)
         return data
+
+    def json_text(self) -> str:
+        """json.dumps(self.to_json(), sort_keys=True), with the op rows
+        joined from one string per carrier index, since every entry is one."""
+        data = {"groups": [g.to_json() for g in self.groups]}
+        if self.labels is not None:
+            data["labels"] = list(self.labels)
+        names = [str(i) for i in range(self.size)]
+        op = "], [".join(", ".join(map(names.__getitem__, row)) for row in self.op)
+        # "op" sorts after "groups" and "labels"
+        return json.dumps(data, sort_keys=True)[:-1] + ', "op": [[' + op + "]]}"
 
     @classmethod
     def from_json(cls, data, check: bool = True) -> "MCQ":

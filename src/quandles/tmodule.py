@@ -184,20 +184,23 @@ def _companion(gvec, n):
 
 
 def _reduce_mod_monic(coeffs, gvec, n):
-    """Coordinates of a nonnegative-exponent polynomial mod the monic g over Z_n."""
+    """Coordinates of a nonnegative-exponent polynomial mod the monic g over
+    Z_n.  A term of exponent e >= deg g takes t^e, column 0 of C^e for the
+    companion matrix C, by square-and-multiply, so its cost grows with the
+    bit length of e, not with e."""
     deg = len(gvec)
-    top = max(coeffs)
-    c = [0] * (top + 1)
+    out = [0] * deg
     for e, v in coeffs.items():
-        c[e] = v % n
-    for e in range(top, deg - 1, -1):
-        v = c[e]
-        if v:
-            c[e] = 0
-            for j in range(deg):
-                c[e - deg + j] = (c[e - deg + j] - v * gvec[j]) % n
-    out = c[:deg]
-    out += [0] * (deg - len(out))
+        if e < deg:
+            out[e] = (out[e] + v) % n
+            continue
+        power, base = identity(deg), _companion(gvec, n)
+        while e:
+            if e & 1:
+                power = [[x % n for x in row] for row in mat_mul(power, base)]
+            base = [[x % n for x in row] for row in mat_mul(base, base)]
+            e >>= 1
+        out = [(o + v * row[0]) % n for o, row in zip(out, power)]
     return out
 
 

@@ -47,6 +47,11 @@ class TestParsingCommands:
             f"quotient by ({big}; 1+t)\norder: {big}\n"
             f"invariant factors: [{big}]\ncomponents: 1\n"), "")
 
+    def test_build_reduces_a_huge_exponent_by_its_bits(self, capsys):
+        # t = -1 mod 5, so t^(10^18) + 2 = 3 is a unit and the quotient is trivial
+        code, out, _ = run(capsys, "build", "5; t+1; t^1000000000000000000+2")
+        assert code == 0 and "\norder: 1\n" in out
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "build", "6; t^^2")
         assert code == 2
@@ -619,6 +624,53 @@ class TestAssociatedSources:
         assert run(capsys, "iso", "--dihedral", "2", "--table", str(path), "--unchecked",
                    "--assoc") == (3, "", "invalid table: right translations are not bijections "
                                          "(right-invertibility fails at (0, 1, 0))\n")
+
+
+def _mixed_order_mcq():
+    """Z_3 and Z_2 acting trivially on each other: x * a == x throughout."""
+    return {"groups": [cyclic_group(3).to_json(), cyclic_group(2).to_json()],
+            "op": [[x] * 5 for x in range(5)]}
+
+
+def _unlabelled(data):
+    return {k: v for k, v in data.items() if k != "labels"}
+
+
+class TestAssocOutput:
+    FILES = {
+        "table": lambda: ("--table", conj_quandle(symmetric_group(3)).to_json()),
+        "mcq": lambda: ("--mcq", associated_mcq(dihedral(5).quandle).to_json()),
+        "mcq-unlabelled": lambda: ("--mcq", _unlabelled(associated_mcq(dihedral(5).quandle)
+                                                        .to_json())),
+        "mcq-mixed-orders": lambda: ("--mcq", _mixed_order_mcq()),
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["--dihedral", "6"], ["--alexander", "5; t^2+2"],
+        ["--alexander", "6; t^2+t+1; t^2+t+3"], ["--symmetric", "3", "--conj"],
+        ["--symmetric", "4", "--conj"], ["--cyclic", "1", "--conj"],
+        ["table"], ["mcq"], ["mcq-unlabelled"], ["mcq-mixed-orders"]])
+    def test_json_is_json_dumps_of_to_json(self, capsys, tmp_path, monkeypatch, argv):
+        if argv[0] in self.FILES:
+            flag, data = self.FILES[argv[0]]()
+            path = tmp_path / "src.json"
+            path.write_text(json.dumps(data))
+            argv = [flag, str(path)]
+        written = run(capsys, "assoc", *argv, "--format", "json")
+        monkeypatch.setattr(MCQ, "json_text", lambda x: json.dumps(x.to_json(), sort_keys=True))
+        dumped = run(capsys, "assoc", *argv, "--format", "json")
+        assert written == dumped and dumped[0] == 0 and dumped[2] == ""
+        data = json.loads(written[1])
+        assert MCQ.from_json(data).to_json() == data
+
+    def test_text_names_every_group_order(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(_mixed_order_mcq()))
+        assert run(capsys, "assoc", "--mcq", str(path)) == (0, (
+            "2 group(s) of orders [2, 3], carrier size 5\ncarrier: 0, 1, 2, 3, 4\n"), "")
+        # groups of one order keep the one-order header
+        assert run(capsys, "assoc", "--dihedral", "3")[1].startswith(
+            "3 group(s) of order 2, carrier size 6\n")
 
 
 class TestDeterminism:

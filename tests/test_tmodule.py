@@ -6,6 +6,7 @@ import pytest
 from quandles.laurent import LaurentPoly, ParseError, eval_one, parse_poly
 from quandles.tmodule import (
     IdealPresentation,
+    _reduce_mod_monic,
     UnsupportedPresentation,
     build,
     ideals_equal,
@@ -269,6 +270,36 @@ class TestReducePoly:
         m = build(parse_ideal("10; 2t+1"))
         assert m.reduce_poly(parse_poly("2t+1")) == m.zero()
         assert m.reduce_poly(LaurentPoly.const(5)) == m.zero()
+
+
+def linear_reduction(coeffs, gvec, n):
+    """Reference reduction mod the monic g over Z_n: clear the top exponent
+    one step at a time, in a list as long as the largest exponent."""
+    deg = len(gvec)
+    c = [0] * (max(coeffs) + 1)
+    for e, v in coeffs.items():
+        c[e] = v % n
+    for e in range(len(c) - 1, deg - 1, -1):
+        v, c[e] = c[e], 0
+        for j in range(deg):
+            c[e - deg + j] = (c[e - deg + j] - v * gvec[j]) % n
+    return (c + [0] * deg)[:deg]
+
+
+class TestReduceModMonic:
+    def test_square_and_multiply_matches_the_linear_reduction(self):
+        rng = random.Random(60)
+        for _ in range(600):
+            n, deg = rng.randint(2, 60), rng.randint(0, 5)
+            gvec = [rng.randrange(n) for _ in range(deg)]
+            coeffs = {rng.randint(0, 60): rng.randint(-100, 100)
+                      for _ in range(rng.randint(1, 4))}
+            assert _reduce_mod_monic(coeffs, gvec, n) == linear_reduction(coeffs, gvec, n)
+
+    def test_a_huge_exponent_reduces_by_its_bits(self):
+        # t^3 = 1 mod (7, t^2+t+1), so the second generator is t^2 + 3 = 2 - t
+        m = build(parse_ideal(f"7; t^2+t+1; t^{3 * 10 ** 20 + 2}+3"))
+        assert m.order == 7 and m.reduce_poly(parse_poly("t-2")) == m.zero()
 
 
 class TestQuotientStructure:
