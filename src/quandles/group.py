@@ -7,8 +7,7 @@ from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .decomposition import Decomposition, iterate_refinement
-from .quandle import (FiniteQuandle, InvalidTable, Partition, action_generators, check_json_fields,
-                      orbits)
+from .quandle import FiniteQuandle, InvalidTable, Partition, action_generators, orbits, read_table
 
 
 class FiniteGroup:
@@ -21,22 +20,17 @@ class FiniteGroup:
 
     __slots__ = ("size", "mult", "inv", "identity", "labels")
 
-    def __init__(self, mult, identity: int | None = None, labels=None):
-        rows = tuple(tuple(row) for row in mult)
+    def __init__(self, mult, identity: int | None = None, labels=None, size=None):
+        rows, labels = read_table(mult, labels, "mult", size)
         n = len(rows)
-        if n == 0:
-            raise ValueError("a group is non-empty")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("multiplication table must be square")
-            if min(row) < 0 or max(row) >= n:
-                raise ValueError("table entries must index elements")
         unit = tuple(range(n))
         if identity is None:
             identity = next((e for e in range(n) if rows[e] == unit
                              and tuple(map(itemgetter(e), rows)) == unit), None)
             if identity is None:
                 raise ValueError("table has no identity element")
+        elif type(identity) is not int:
+            raise ValueError("'identity' must be an integer")
         elif not (0 <= identity < n and rows[identity] == unit
                   and tuple(map(itemgetter(identity), rows)) == unit):
             raise ValueError("declared identity is not an identity")
@@ -57,9 +51,7 @@ class FiniteGroup:
         self.mult = rows
         self.identity = identity
         self.inv = tuple(inv)
-        self.labels = tuple(str(x) for x in labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("labels must match the table size")
+        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
     def _built(cls, rows: Sequence[tuple[int, ...]], identity: int, labels=None) -> "FiniteGroup":
@@ -88,13 +80,7 @@ class FiniteGroup:
     def from_json(cls, data, check: bool = True) -> "FiniteGroup":
         if not isinstance(data, dict) or "mult" not in data:
             raise ValueError("expected an object with a 'mult' field")
-        check_json_fields(data, "mult")
-        identity = data.get("identity")
-        if identity is not None and type(identity) is not int:
-            raise ValueError("'identity' must be an integer")
-        g = cls(data["mult"], identity, data.get("labels"))
-        if "size" in data and data["size"] != g.size:
-            raise ValueError("'size' disagrees with the table")
+        g = cls(data["mult"], data.get("identity"), data.get("labels"), data.get("size"))
         if check:
             message = check_group(g)
             if message is not None:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
 from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, action_generators,
-                      check_axioms, check_json_fields, closure, orbits, type_of)
+                      check_axioms, closure, orbits, read_table, type_of)
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,7 @@ class MCQ:
         groups = tuple(groups)
         if not groups:
             raise ValueError("need at least one group")
-        size = sum(g.size for g in groups)
-        rows = tuple(tuple(row) for row in op)
-        if len(rows) != size or any(len(r) != size for r in rows):
-            raise ValueError("operation table must be carrier x carrier")
-        if any(min(row) < 0 or max(row) >= size for row in rows):
-            raise ValueError("operation entries must index the carrier")
-        self._fill(groups, rows, labels)
+        self._fill(groups, *read_table(op, labels, "op", sum(g.size for g in groups)))
 
     def _fill(self, groups: tuple, rows: tuple, labels) -> None:
         self.groups = groups
@@ -62,9 +56,7 @@ class MCQ:
         self.size = offsets[-1]
         self.group_of = tuple(group_of)
         self.op = rows
-        self.labels = tuple(str(x) for x in labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("labels must match the carrier size")
+        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
     def _built(cls, groups: Iterable[FiniteGroup], op: Sequence[tuple[int, ...]],
@@ -133,7 +125,6 @@ class MCQ:
             raise ValueError("expected an object with 'groups' and 'op' fields")
         if not isinstance(data["groups"], list):
             raise ValueError("'groups' must be a list")
-        check_json_fields(data, "op")
         groups = [FiniteGroup.from_json(g, check=check) for g in data["groups"]]
         x = cls(groups, data["op"], data.get("labels"))
         if check:

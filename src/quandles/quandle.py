@@ -105,24 +105,13 @@ class FiniteQuandle:
 
     __slots__ = ("size", "table", "labels")
 
-    def __init__(self, table, labels=None):
-        rows = tuple(tuple(row) for row in table)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("a quandle is non-empty")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("table must be square")
-            if min(row) < 0 or max(row) >= n:
-                raise ValueError("table entries must index elements")
-        self._fill(rows, labels)
+    def __init__(self, table, labels=None, size=None):
+        self._fill(*read_table(table, labels, "table", size))
 
     def _fill(self, rows: tuple, labels) -> None:
         self.size = len(rows)
         self.table = rows
-        self.labels = tuple(str(x) for x in labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("labels must match the table size")
+        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
     def _built(cls, rows: Sequence[tuple[int, ...]], labels=None) -> "FiniteQuandle":
@@ -134,8 +123,8 @@ class FiniteQuandle:
         return q
 
     @classmethod
-    def from_table(cls, table, labels=None, check: bool = True) -> "FiniteQuandle":
-        q = cls(table, labels)
+    def from_table(cls, table, labels=None, check: bool = True, size=None) -> "FiniteQuandle":
+        q = cls(table, labels, size)
         if check:
             bad = check_axioms(q)
             if bad is not None:
@@ -158,33 +147,66 @@ class FiniteQuandle:
     def from_json(cls, data, check: bool = True) -> "FiniteQuandle":
         if not isinstance(data, dict):
             raise ValueError("expected an object with a 'table' field")
-        table = data.get("table")
-        if table is None:
+        if data.get("table") is None:
             raise ValueError("missing 'table'")
-        check_json_fields(data, "table")
-        if "size" in data and data["size"] != len(table):
-            raise ValueError("'size' disagrees with the table")
-        return cls.from_table(table, data.get("labels"), check=check)
+        return cls.from_table(data["table"], data.get("labels"), check, data.get("size"))
 
     def __repr__(self):
         return f"<FiniteQuandle size {self.size}>"
 
 
 _INT = frozenset({int})
+_LIST = frozenset({list, tuple})
+_LABEL = frozenset({str, int})
+# per field: the refusals of an empty table, of a row count other than size,
+# of a ragged row, of an entry out of range and of a wrong label count
+_REFUSALS = {
+    "table": ("a quandle is non-empty", "'size' disagrees with the table", "table must be square",
+              "table entries must index elements", "labels must match the table size"),
+    "mult": ("a group is non-empty", "'size' disagrees with the table",
+             "multiplication table must be square", "table entries must index elements",
+             "labels must match the table size"),
+    "op": (("operation table must be carrier x carrier",) * 3
+           + ("operation entries must index the carrier", "labels must match the carrier size")),
+}
 
 
-def check_json_fields(data: dict, field: str) -> None:
-    """Refuse a table read from JSON, data[field], unless it is a list of
-    lists of integers (bools excluded), and the optional 'labels' unless it
-    is a list: ValueError, so that a malformed file is an input error.  The
-    constructors leave entry types to their callers."""
-    table = data[field]
-    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+def read_table(table, labels, field: str, size=None) -> tuple[tuple, Optional[tuple]]:
+    """The rows and labels of a square table of element indices, as tuples
+    of ints and of strings: the one reader of a quandle's 'table', a group's
+    'mult' and an MCQ's 'op', which field names.  ValueError, an input
+    error, names the first fault in this order: not a list of lists (tuples
+    pass); an entry not an int (bools excluded); labels not a list of
+    strings or ints; an empty table, or a size that is not an int or not the
+    row count; row by row, a ragged row or an entry out of range; a label
+    count other than the row count."""
+    if type(table) not in _LIST or not _LIST.issuperset(map(type, table)):
         raise ValueError(f"'{field}' must be a list of lists")
     if not all(_INT.issuperset(map(type, row)) for row in table):
         raise ValueError(f"'{field}' entries must be integers")
-    if data.get("labels") is not None and not isinstance(data["labels"], list):
-        raise ValueError("'labels' must be a list")
+    if labels is not None:
+        if type(labels) not in _LIST:
+            raise ValueError("'labels' must be a list")
+        if not _LABEL.issuperset(map(type, labels)):
+            raise ValueError("'labels' entries must be strings or integers")
+        labels = tuple(map(str, labels))
+    empty, count, square, entries, labelled = _REFUSALS[field]
+    n = len(table)
+    if n == 0:
+        raise ValueError(empty)
+    if size is not None and type(size) is not int:
+        raise ValueError("'size' must be an integer")
+    if size is not None and size != n:
+        raise ValueError(count)
+    rows = tuple(map(tuple, table))
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(square)
+        if min(row) < 0 or max(row) >= n:
+            raise ValueError(entries)
+    if labels is not None and len(labels) != n:
+        raise ValueError(labelled)
+    return rows, labels
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:

@@ -11,7 +11,7 @@ from quandles import alexander_quandle, build, dihedral, parse_ideal, symmetric_
 from quandles import cli, group
 from quandles.cli import main
 from quandles.decomposition import maximal_decomposition
-from quandles.group import conj_quandle, cyclic_group
+from quandles.group import FiniteGroup, conj_quandle, cyclic_group
 from quandles.mcq import MCQ, associated_mcq
 from quandles.quandle import FiniteQuandle, type_of
 from quandles.verify import NON_ASSOCIATIVE_LOOP
@@ -284,22 +284,127 @@ class TestTableLoading:
     GROUP = {"mult": [[0, 1], [1, 0]], "identity": 0}
 
     @pytest.mark.parametrize("flag,data,message", [
-        ("--table", {"table": [["a"]]}, "'table' entries must be integers"),
-        ("--table", {"table": [[True]]}, "'table' entries must be integers"),
-        ("--table", {"table": [[0.0]]}, "'table' entries must be integers"),
-        ("--table", {"table": [5]}, "'table' must be a list of lists"),
-        ("--table", {"table": 5}, "'table' must be a list of lists"),
-        ("--table", {"table": [[0]], "labels": 5}, "'labels' must be a list"),
-        ("--group", {"mult": [["a"]]}, "'mult' entries must be integers"),
-        ("--group", {"mult": [[0, 1], [1, 0]], "identity": "x"}, "'identity' must be an integer"),
-        ("--group", {"mult": [[0, 1], [1, 0]], "identity": 5},
-         "declared identity is not an identity"),
-        ("--mcq", {"groups": [{"mult": [["a"]]}], "op": [[0]]}, "'mult' entries must be integers"),
-        ("--mcq", {"groups": [GROUP], "op": [[0, "1"], [1, 0]]}, "'op' entries must be integers"),
-        ("--mcq", {"groups": 5, "op": [[0]]}, "'groups' must be a list"),
-    ], ids=["table-text", "table-bool", "table-float", "table-row-int", "table-int",
-            "table-labels", "group-text", "group-identity-text", "group-identity-range",
-            "mcq-group-text", "mcq-op-text", "mcq-groups-int"])
+        pytest.param(flag, data, message, id=name) for name, flag, data, message in [
+            # each file has one fault, refused as before the one table reader
+            ("table-text", "--table", {"table": [["a"]]}, "'table' entries must be integers"),
+            ("table-bool", "--table", {"table": [[True]]}, "'table' entries must be integers"),
+            ("table-float", "--table", {"table": [[0.0]]}, "'table' entries must be integers"),
+            ("table-row-int", "--table", {"table": [5]}, "'table' must be a list of lists"),
+            ("table-int", "--table", {"table": 5}, "'table' must be a list of lists"),
+            ("table-str", "--table", {"table": "x"}, "'table' must be a list of lists"),
+            ("table-labels", "--table", {"table": [[0]], "labels": 5}, "'labels' must be a list"),
+            ("table-top-list", "--table", [[0]], "expected an object with a 'table' field"),
+            ("table-missing", "--table", {}, "missing 'table'"),
+            ("table-ragged", "--table", {"table": [[0, 1], [1]]}, "table must be square"),
+            ("table-negative", "--table", {"table": [[-1]]}, "table entries must index elements"),
+            ("table-range", "--table", {"table": [[3]]}, "table entries must index elements"),
+            ("table-empty", "--table", {"table": []}, "a quandle is non-empty"),
+            ("table-label-count", "--table", {"table": [[0]], "labels": ["a", "b"]},
+             "labels must match the table size"),
+            ("table-size", "--table", {"table": [[0]], "size": 2},
+             "'size' disagrees with the table"),
+            ("group-text", "--group", {"mult": [["a"]]}, "'mult' entries must be integers"),
+            ("group-bool", "--group", {"mult": [[True]]}, "'mult' entries must be integers"),
+            ("group-float", "--group", {"mult": [[0.0]]}, "'mult' entries must be integers"),
+            ("group-row-int", "--group", {"mult": [0]}, "'mult' must be a list of lists"),
+            ("group-int", "--group", {"mult": 0}, "'mult' must be a list of lists"),
+            ("group-labels", "--group", {"mult": [[0, 1], [1, 0]], "labels": {"a": 1}},
+             "'labels' must be a list"),
+            ("group-top-list", "--group", [[0]], "expected an object with a 'mult' field"),
+            ("group-missing", "--group", {"identity": 0}, "expected an object with a 'mult' field"),
+            ("group-ragged", "--group", {"mult": [[0, 1], [1]], "identity": 0},
+             "multiplication table must be square"),
+            ("group-negative", "--group", {"mult": [[0, 1], [1, -1]], "identity": 0},
+             "table entries must index elements"),
+            ("group-range", "--group", {"mult": [[0, 1], [1, 2]], "identity": 0},
+             "table entries must index elements"),
+            ("group-empty", "--group", {"mult": []}, "a group is non-empty"),
+            ("group-label-count", "--group", {"mult": [[0]], "labels": ["a", "b"]},
+             "labels must match the table size"),
+            ("group-size", "--group", {"mult": [[0]], "size": 2},
+             "'size' disagrees with the table"),
+            ("group-identity-text", "--group", {"mult": [[0, 1], [1, 0]], "identity": "x"},
+             "'identity' must be an integer"),
+            ("group-identity-bool", "--group", {"mult": [[0, 1], [1, 0]], "identity": True},
+             "'identity' must be an integer"),
+            ("group-identity-negative", "--group", {"mult": [[0, 1], [1, 0]], "identity": -1},
+             "declared identity is not an identity"),
+            ("group-identity-range", "--group", {"mult": [[0, 1], [1, 0]], "identity": 5},
+             "declared identity is not an identity"),
+            ("mcq-group-text", "--mcq", {"groups": [{"mult": [["a"]]}], "op": [[0]]},
+             "'mult' entries must be integers"),
+            ("mcq-group-missing", "--mcq", {"groups": [{"identity": 0}], "op": [[0]]},
+             "expected an object with a 'mult' field"),
+            ("mcq-op-text", "--mcq", {"groups": [GROUP], "op": [[0, "1"], [1, 0]]},
+             "'op' entries must be integers"),
+            ("mcq-op-bool", "--mcq", {"groups": [GROUP], "op": [[0, False], [1, 0]]},
+             "'op' entries must be integers"),
+            ("mcq-op-float", "--mcq", {"groups": [GROUP], "op": [[0, 1.0], [1, 0]]},
+             "'op' entries must be integers"),
+            ("mcq-op-row-int", "--mcq", {"groups": [GROUP], "op": [0, 1]},
+             "'op' must be a list of lists"),
+            ("mcq-op-int", "--mcq", {"groups": [GROUP], "op": 0}, "'op' must be a list of lists"),
+            ("mcq-groups-int", "--mcq", {"groups": 5, "op": [[0]]}, "'groups' must be a list"),
+            ("mcq-groups-empty", "--mcq", {"groups": [], "op": []}, "need at least one group"),
+            ("mcq-labels", "--mcq", {"groups": [GROUP], "op": [[0, 0], [1, 1]], "labels": 5},
+             "'labels' must be a list"),
+            ("mcq-top-list", "--mcq", [GROUP], "expected an object with 'groups' and 'op' fields"),
+            ("mcq-missing-op", "--mcq", {"groups": [GROUP]},
+             "expected an object with 'groups' and 'op' fields"),
+            ("mcq-missing-groups", "--mcq", {"op": [[0]]},
+             "expected an object with 'groups' and 'op' fields"),
+            ("mcq-ragged", "--mcq", {"groups": [GROUP], "op": [[0, 1], [1]]},
+             "operation table must be carrier x carrier"),
+            ("mcq-rows", "--mcq", {"groups": [GROUP], "op": [[0, 1]]},
+             "operation table must be carrier x carrier"),
+            ("mcq-empty", "--mcq", {"groups": [GROUP], "op": []},
+             "operation table must be carrier x carrier"),
+            ("mcq-negative", "--mcq", {"groups": [GROUP], "op": [[0, 1], [1, -1]]},
+             "operation entries must index the carrier"),
+            ("mcq-range", "--mcq", {"groups": [GROUP], "op": [[0, 1], [1, 2]]},
+             "operation entries must index the carrier"),
+            ("mcq-label-count", "--mcq", {"groups": [GROUP], "op": [[0, 0], [1, 1]],
+                                         "labels": ["a"]},
+             "labels must match the carrier size"),
+            # these loaded before the one table reader: a size that is not an
+            # int, and labels that are neither strings nor ints
+            ("table-size-bool", "--table", {"table": [[0]], "size": True},
+             "'size' must be an integer"),
+            ("table-size-float", "--table", {"table": [[0, 0], [1, 1]], "size": 2.0},
+             "'size' must be an integer"),
+            ("group-size-bool", "--group", {"mult": [[0]], "size": True},
+             "'size' must be an integer"),
+            ("group-size-float", "--group", {"mult": [[0]], "size": 1.0},
+             "'size' must be an integer"),
+            ("table-label-null", "--table", {"table": [[0, 0], [1, 1]], "labels": [None, [1]]},
+             "'labels' entries must be strings or integers"),
+            ("table-label-bool", "--table", {"table": [[0]], "labels": [True]},
+             "'labels' entries must be strings or integers"),
+            ("group-label-null", "--group", {"mult": [[0]], "labels": [None]},
+             "'labels' entries must be strings or integers"),
+            ("mcq-label-null", "--mcq", {"groups": [GROUP], "op": [[0, 0], [1, 1]],
+                                        "labels": [None, "b"]},
+             "'labels' entries must be strings or integers"),
+            # two faults: the first in the one order is named
+            ("two-group-text-and-identity", "--group", {"mult": [["a"]], "identity": "x"},
+             "'mult' entries must be integers"),
+            ("two-group-empty-and-size", "--group", {"mult": [], "size": 1},
+             "a group is non-empty"),
+            # and these named the other fault before: the size came before
+            # emptiness for a quandle and last for a group, an MCQ's op
+            # entries before its groups and its row lengths before any range,
+            # and label entries went unchecked
+            ("two-table-ragged-and-labels", "--table", {"table": [[0, 1], [1]], "labels": [None]},
+             "'labels' entries must be strings or integers"),
+            ("two-table-empty-and-size", "--table", {"table": [], "size": 1},
+             "a quandle is non-empty"),
+            ("two-group-size-and-inverse", "--group", {"mult": [[0, 1], [1, 1]], "size": 3},
+             "'size' disagrees with the table"),
+            ("two-mcq-group-and-op", "--mcq", {"groups": [{"mult": [["a"]]}], "op": [[0, "x"]]},
+             "'mult' entries must be integers"),
+            ("two-mcq-range-before-ragged", "--mcq", {"groups": [GROUP], "op": [[0, 5], [1]]},
+             "operation entries must index the carrier"),
+        ]])
     @pytest.mark.parametrize("unchecked", [False, True], ids=["checked", "unchecked"])
     def test_malformed_files_are_input_errors(self, capsys, tmp_path, flag, data, message,
                                               unchecked):
@@ -308,6 +413,18 @@ class TestTableLoading:
         argv = ["components", flag, str(path)] + ["--conj"] * (flag == "--group")
         code, out, err = run(capsys, *argv, *["--unchecked"] * unchecked)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_constructors_read_tuples_and_refuse_bools(self):
+        # the constructors share the files' reader: tuple rows and labels pass
+        q = FiniteQuandle(((0, 0), (1, 1)), ("a", 1))
+        assert (q.table, q.labels) == (((0, 0), (1, 1)), ("a", "1"))
+        g = FiniteGroup(((0, 1), (1, 0)), labels=("e", "s"))
+        assert (g.mult, g.identity, g.labels) == (((0, 1), (1, 0)), 0, ("e", "s"))
+        x = MCQ((g,), ((0, 0), (1, 1)), ("e", "s"))
+        assert (x.op, x.labels) == (((0, 0), (1, 1)), ("e", "s"))
+        for make in (FiniteQuandle, FiniteGroup, lambda t: MCQ((cyclic_group(1),), t)):
+            with pytest.raises(ValueError, match="entries must be integers"):
+                make([[True]])
 
     def test_checked_group_file_of_order_720(self, capsys, tmp_path):
         # S6 relabelled by a seeded shuffle; the loader checks associativity
