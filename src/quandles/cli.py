@@ -15,15 +15,16 @@ import json
 import os
 import sys
 
-# dihedral and parse_poly go unused here but stay importable: perfbench/spans.py binds them
+# dihedral, parse_poly and associated_mcq go unused here; perfbench/spans.py binds them
 from .alexander import (alexander_components, alexander_decomposition, alexander_quandle,
                         component_ideal, dihedral, dihedral_presentation, gcd_chain)
 from .decomposition import maximal_decomposition
 from .group import (FiniteGroup, conj_components, conj_decomposition, conj_quandle, cyclic_group,
                     is_associative, symmetric_group)
 from .laurent import ParseError, format_poly, parse_poly
-from .mcq import (MCQ, associated_decomposition, associated_mcq, check_associated_axioms,
-                  check_mcq_axioms, lambda_orbits, maximal_mcq_decomposition, pair_labeler)
+from .mcq import (MCQ, associated_decomposition, associated_json_text, associated_mcq,
+                  check_associated_axioms, check_mcq_axioms, lambda_orbits,
+                  maximal_mcq_decomposition, pair_labeler)
 from .quandle import (FiniteQuandle, InvalidTable, check_axioms, check_columns,
                       connected_components, find_isomorphism, type_of)
 from .tmodule import FiniteTModule, UnsupportedPresentation, build, parse_generators, parse_ideal
@@ -317,17 +318,24 @@ def _cmd_prop56(args):
 
 
 def _cmd_assoc(args):
+    # a quandle source's structure is written from its base rows, and its text
+    # needs no table but the base's, none for a module (the type: t's order)
     src = _resolve_sources(args)[0]
-    # an Alexander quandle's type is the order of t on its module
-    m = src.t_order if isinstance(src, FiniteTModule) else None
-    x = src if isinstance(src, MCQ) else associated_mcq(_quandle(src), m)
+    module = isinstance(src, FiniteTModule)
     if args.format == "json":
-        print(x.json_text())
+        print(src.json_text() if isinstance(src, MCQ) else
+              associated_json_text(_quandle(src), src.t_order if module else None))
         return EXIT_OK
-    orders = sorted({g.size for g in x.groups})
+    if isinstance(src, MCQ):
+        sizes, label = [g.size for g in src.groups], src.label
+    else:
+        q = None if module else _quandle(src)
+        count, m = (src.order, src.t_order) if module else (q.size, type_of(q))
+        sizes, label = [m] * count, pair_labeler(_labeler(src), m)
+    orders = sorted(set(sizes))
     order = f"order {orders[0]}" if len(orders) == 1 else f"orders {orders}"
-    print(f"{x.group_count} group(s) of {order}, carrier size {x.size}\n"
-          f"carrier: " + ", ".join(x.label(i) for i in range(x.size)))
+    print(f"{len(sizes)} group(s) of {order}, carrier size {sum(sizes)}\n"
+          f"carrier: " + ", ".join(map(label, range(sum(sizes)))))
     return EXIT_OK
 
 

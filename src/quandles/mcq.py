@@ -59,7 +59,7 @@ class MCQ:
         self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def _built(cls, groups: Iterable[FiniteGroup], op: Sequence[tuple[int, ...]],
+    def _built(cls, groups: Iterable[FiniteGroup], op: Iterable[tuple[int, ...]],
                labels=None) -> "MCQ":
         """A structure on rows that the library computed itself: at least
         one group and a carrier x carrier square of tuples of carrier
@@ -109,15 +109,10 @@ class MCQ:
         return data
 
     def json_text(self) -> str:
-        """json.dumps(self.to_json(), sort_keys=True), with the op rows
-        joined from one string per carrier index, since every entry is one."""
-        data = {"groups": [g.to_json() for g in self.groups]}
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
+        """json.dumps(self.to_json(), sort_keys=True), each op row read from the names."""
         names = [str(i) for i in range(self.size)]
-        op = "], [".join(", ".join(map(names.__getitem__, row)) for row in self.op)
-        # "op" sorts after "groups" and "labels"
-        return json.dumps(data, sort_keys=True)[:-1] + ', "op": [[' + op + "]]}"
+        return _json_text([g.to_json() for g in self.groups], self.labels,
+                          (_reader(row)(names) for row in self.op))
 
     @classmethod
     def from_json(cls, data, check: bool = True) -> "MCQ":
@@ -272,24 +267,51 @@ def associated_mcq(q: FiniteQuandle, m: Optional[int] = None) -> MCQ:
     the order of t on an Alexander quandle's module, passes it.
     """
     m = type_of(q) if m is None else m
-    n = q.size
-    table = q.table
-    ys = range(n)
-    # shared int objects: firsts[x] == x m and shifts[g][i] == i + g
-    carrier = list(range(n * m))
-    firsts = carrier[::m]
-    shifts = [carrier[g:] for g in range(m)]
-    op = []
-    for xx in ys:
-        base = [firsts[xx]] * (n * m)  # the entries for h = 0: xx *^0 y == xx
-        power = [xx] * n  # power[y] == xx *^h y
-        for h in range(1, m):
-            power = list(map(getitem, map(table.__getitem__, power), ys))
-            base[h::m] = map(firsts.__getitem__, power)
-        # a one-entry itemgetter gives no tuple: the carrier of one pair is (0,)
-        op.extend(map(itemgetter(*base), shifts) if n * m > 1 else [(0,)])
+    carrier = list(range(q.size * m))
     labels = list(map(pair_labeler(q.label, m), carrier))
-    return MCQ._built((cyclic_group(m),) * n, op, labels)
+    return MCQ._built((cyclic_group(m),) * q.size, _pair_rows(q, m, carrier), labels)
+
+
+def associated_json_text(q: FiniteQuandle, m: Optional[int] = None) -> str:
+    """associated_mcq(q, m).json_text(), written from q's rows with no int row."""
+    m = type_of(q) if m is None else m
+    names = [str(i) for i in range(q.size * m)]
+    return _json_text([cyclic_group(m).to_json()] * q.size,
+                      map(pair_labeler(q.label, m), range(len(names))), _pair_rows(q, m, names))
+
+
+def _pair_rows(q: FiniteQuandle, m: int, cells: list):
+    """The rows of associated_mcq(q, m) in carrier order, cells[i] standing
+    for carrier index i.  The row of (x, 0) is worked out once per x, as a
+    reader of the entries (x *^h y) m at y m + h; applied to cells[g:], it
+    gives the row of (x, g)."""
+    firsts = list(range(0, len(cells), m))  # shared int objects: firsts[x] == x m
+    entries = []  # entries[y m + h][x] == (x *^h y) m: the rows of (x, 0) by column
+    for col in zip(*q.table):  # col[x] == x * y
+        read = _reader(col)
+        entries.append(firsts)  # x *^0 y == x
+        for _ in range(1, m):  # x *^h y == (x * y) *^(h - 1) y
+            entries.append(read(entries[-1]))
+    shifts = [cells[g:] for g in range(m)]
+    return (row for read in map(_reader, zip(*entries)) for row in map(read, shifts))
+
+
+def _reader(row: Sequence[int]):
+    """itemgetter(*row), which also gives a tuple for a row of one entry."""
+    if len(row) == 1:
+        return lambda cells, i=row[0]: (cells[i],)
+    return itemgetter(*row)
+
+
+def _json_text(groups: list, labels, rows: Iterable[Sequence[str]]) -> str:
+    """json.dumps of a structure's fields, sort_keys=True, with its op rows
+    given as the texts of their entries."""
+    data = {"groups": groups}
+    if labels is not None:
+        data["labels"] = list(labels)
+    op = "], [".join(map(", ".join, rows))
+    # "op" sorts after "groups" and "labels"
+    return json.dumps(data, sort_keys=True)[:-1] + ', "op": [[' + op + "]]}"
 
 
 def pair_labeler(label, m: int):

@@ -689,14 +689,23 @@ class TestAssociatedSources:
             "  {(2;0), (2;1)}\n"
             "  {(3;0), (3;1)}\n"), "")
 
-    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "axioms"])
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp", "axioms", "assoc"])
     @pytest.mark.parametrize("name", SOURCES)
     def test_checked_sources_build_no_carrier(self, capsys, tmp_path, monkeypatch, verb, name):
         argv, _ = self.source(tmp_path, name)
         monkeypatch.setattr("quandles.cli.associated_mcq", _refuse_carrier)
         monkeypatch.setattr(MCQ, "__init__", _refuse_carrier)
-        code, out, err = run(capsys, verb, *argv, "--assoc", "--format", "json")
-        assert code == 0 and out and err == ""
+        monkeypatch.setattr(MCQ, "_built", _refuse_carrier)
+        # assoc prints the structure itself: its JSON is written from the base rows
+        for fmt in ("json", "text") if verb == "assoc" else ("json",):
+            code, out, err = run(capsys, verb, *argv, "--assoc", "--format", fmt)
+            assert code == 0 and out and err == ""
+
+    def test_text_assoc_of_a_module_builds_no_table(self, capsys, monkeypatch):
+        expected = run(capsys, "assoc", "--alexander", "7; t+4")
+        monkeypatch.setattr("quandles.cli.alexander_quandle", _refuse_carrier)
+        assert run(capsys, "assoc", "--alexander", "7; t+4") == expected
+        assert expected[1].startswith("7 group(s) of order 6, carrier size 42\ncarrier: (0;0), ")
 
     def test_a_failing_unchecked_table_still_reports_the_built_witness(self, capsys, tmp_path):
         # bijective columns, not idempotent: the witness is the structure's own
@@ -774,7 +783,10 @@ class TestAssocOutput:
             path.write_text(json.dumps(data))
             argv = [flag, str(path)]
         written = run(capsys, "assoc", *argv, "--format", "json")
+        # both writers: an --mcq file's and a quandle source's
         monkeypatch.setattr(MCQ, "json_text", lambda x: json.dumps(x.to_json(), sort_keys=True))
+        monkeypatch.setattr("quandles.cli.associated_json_text", lambda q, m=None: json.dumps(
+            associated_mcq(q, m).to_json(), sort_keys=True))
         dumped = run(capsys, "assoc", *argv, "--format", "json")
         assert written == dumped and dumped[0] == 0 and dumped[2] == ""
         data = json.loads(written[1])

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -26,8 +27,10 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
-from quandles.mcq import McqViolation, _first_violation
-from quandles.verify import near_quandle, random_small_mcq, same_structure, substructure_criteria
+from quandles.mcq import McqViolation, _first_violation, associated_json_text
+from quandles.verify import (_random_module, _random_quandle, near_quandle, random_small_mcq,
+                             reference_associated_op, relabelled, same_structure,
+                             substructure_criteria)
 
 
 def _refuse(*args, **kwargs):
@@ -114,6 +117,33 @@ class TestAssociatedMcq:
                         for _ in range(h):
                             elem = q.table[elem][y]
                         assert out == elem * m + g  # Z_m is abelian: h^-1 g h == g
+
+    def test_the_writer_gives_json_dumps_bytes_on_seeded_bases(self):
+        """associated_json_text against json.dumps of the built structure,
+        and the built rows against the reference formula, on 300 distinct
+        bases up to carrier 300: carrier 1, then random quandles, their
+        relabellings without labels, Alexander bases with m = t_order, and
+        near-quandles with m = type_of."""
+        rng = random.Random(22)
+        checked = set()
+        bases = [(trivial_quandle(1), 1), (dihedral(1).quandle, None)]
+        for _ in range(400):
+            for q, m in bases:
+                if q.size * (type_of(q) if m is None else m) > 300:
+                    continue
+                x = associated_mcq(q, m)
+                assert associated_json_text(q, m) == json.dumps(x.to_json(), sort_keys=True)
+                if x.size <= 96:
+                    assert x.op == tuple(map(tuple, reference_associated_op(q, x.size // q.size)))
+                    assert same_structure(x, MCQ(x.groups, x.op, x.labels))
+                checked.add((x.size, q.table, q.labels))
+            if len(checked) >= 300:
+                break
+            q = _random_quandle(rng)
+            module = _random_module(rng)
+            bases = [(q, None), (relabelled(rng, q), type_of(q)),
+                     (alexander_quandle(module).quandle, module.t_order), (near_quandle(rng, q), None)]
+        assert len(checked) >= 300
 
 
 class TestAxioms:
