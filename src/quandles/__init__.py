@@ -79,7 +79,6 @@ from .decomposition import (
 from .mcq import (
     MCQ,
     McqDecomposition,
-    McqViolation,
     associated_decomposition,
     associated_mcq,
     check_associated_axioms,

@@ -30,7 +30,6 @@ class AlexanderQuandle:
 
     module: FiniteTModule
     quandle: FiniteQuandle
-    presentation: IdealPresentation
 
 
 def alexander_quandle(module: FiniteTModule) -> AlexanderQuandle:
@@ -46,8 +45,7 @@ def alexander_quandle(module: FiniteTModule) -> AlexanderQuandle:
         delta = module.coordinate_columns(module.one_minus_t_rows())
         table = [tuple(module.translate(ta, delta))
                  for ta in zip(*module.coordinate_columns(module.t_matrix))]
-    return AlexanderQuandle(module, FiniteQuandle._built(table, module.labels()),
-                            module.presentation)
+    return AlexanderQuandle(module, FiniteQuandle._built(table, module.labels()))
 
 
 def alexander_decomposition(module: FiniteTModule) -> Decomposition:

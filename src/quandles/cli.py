@@ -329,9 +329,10 @@ def _cmd_assoc(args):
     if isinstance(src, MCQ):
         sizes, label = [g.size for g in src.groups], src.label
     else:
+        base = _labeler(src)  # first: a module too large to list fails here, not in t_order
         q = None if module else _quandle(src)
         count, m = (src.order, src.t_order) if module else (q.size, type_of(q))
-        sizes, label = [m] * count, pair_labeler(_labeler(src), m)
+        sizes, label = [m] * count, pair_labeler(base, m)
     orders = sorted(set(sizes))
     order = f"order {orders[0]}" if len(orders) == 1 else f"orders {orders}"
     print(f"{len(sizes)} group(s) of {order}, carrier size {sum(sizes)}\n"

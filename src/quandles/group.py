@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 from operator import getitem, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
-from .quandle import FiniteQuandle, InvalidTable, Partition, action_generators, orbits, read_table
+from .quandle import (AxiomViolation, FiniteQuandle, Partition, _Table, action_generators, orbits,
+                      read_table)
 
 
-class FiniteGroup:
+class FiniteGroup(_Table):
     """A group on {0, ..., size-1} given by its multiplication table.
 
     Construction derives the identity and inverses (raising ValueError when
@@ -36,7 +37,8 @@ class FiniteGroup:
             raise ValueError("declared identity is not an identity")
         self._fill(rows, identity, labels)
 
-    def _fill(self, rows: tuple, identity: int, labels) -> None:
+    def _fill(self, rows, identity: int, labels=None) -> None:
+        rows = tuple(rows)
         inv = []
         for a, row in enumerate(rows):
             # the least b with a b == identity == b a, among the b with a b == identity
@@ -53,21 +55,8 @@ class FiniteGroup:
         self.inv = tuple(inv)
         self.labels = tuple(labels) if labels is not None else None
 
-    @classmethod
-    def _built(cls, rows: Sequence[tuple[int, ...]], identity: int, labels=None) -> "FiniteGroup":
-        """A group on rows that the library computed itself, a non-empty
-        square of tuples of element indices with the two-sided identity
-        given: __init__ would only check again cell by cell and search the
-        identity.  The inverses are still derived."""
-        g = cls.__new__(cls)
-        g._fill(tuple(rows), identity, labels)
-        return g
-
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
 
     def to_json(self) -> dict:
         data = {"size": self.size, "mult": [list(r) for r in self.mult],
@@ -81,18 +70,14 @@ class FiniteGroup:
         if not isinstance(data, dict) or "mult" not in data:
             raise ValueError("expected an object with a 'mult' field")
         g = cls(data["mult"], data.get("identity"), data.get("labels"), data.get("size"))
-        if check:
-            message = check_group(g)
-            if message is not None:
-                raise InvalidTable(message)
-        return g
+        return g._checked(check, check_group)
 
     def __repr__(self):
         return f"<FiniteGroup size {self.size}>"
 
 
-def check_group(g: FiniteGroup) -> Optional[str]:
-    """None for a genuine group, otherwise a message naming the failure.
+def check_group(g: FiniteGroup) -> Optional[AxiomViolation]:
+    """None for a genuine group, otherwise the failure of associativity.
 
     The verdict is is_associative's.  The witness (a, b, c), the first with
     (a b) c != a (b c) in scan order, indices increasing, comes from the
@@ -153,14 +138,14 @@ def is_associative(g: FiniteGroup) -> bool:
     return True
 
 
-def _first_nonassociative(g: FiniteGroup) -> Optional[str]:
+def _first_nonassociative(g: FiniteGroup) -> Optional[AxiomViolation]:
     n = g.size
     for a in range(n):
         for b in range(n):
             ab = g.mult[a][b]
             for c in range(n):
                 if g.mult[ab][c] != g.mult[a][g.mult[b][c]]:
-                    return f"associativity fails at ({a}, {b}, {c})"
+                    return AxiomViolation("associativity", (a, b, c))
     return None
 
 

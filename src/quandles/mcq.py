@@ -19,17 +19,11 @@ from typing import Iterable, Optional, Sequence
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
-from .quandle import (FiniteQuandle, InvalidTable, Partition, _distributes, action_generators,
-                      check_axioms, closure, orbits, read_table, type_of)
+from .quandle import (AxiomViolation, FiniteQuandle, Partition, _distributes, _Table,
+                      action_generators, check_axioms, closure, orbits, read_table, type_of)
 
 
-@dataclass(frozen=True)
-class McqViolation:
-    axiom: str
-    witness: tuple[int, ...]
-
-
-class MCQ:
+class MCQ(_Table):
     """Disjoint union of groups with a global * given as a carrier table.
 
     Carrier indices run over the groups in order; group_of maps a carrier
@@ -45,8 +39,8 @@ class MCQ:
             raise ValueError("need at least one group")
         self._fill(groups, *read_table(op, labels, "op", sum(g.size for g in groups)))
 
-    def _fill(self, groups: tuple, rows: tuple, labels) -> None:
-        self.groups = groups
+    def _fill(self, groups, rows, labels=None) -> None:
+        self.groups = groups = tuple(groups)
         offsets = [0]
         group_of = []
         for lam, g in enumerate(groups):
@@ -55,19 +49,8 @@ class MCQ:
         self.offsets = tuple(offsets)
         self.size = offsets[-1]
         self.group_of = tuple(group_of)
-        self.op = rows
+        self.op = tuple(rows)
         self.labels = tuple(labels) if labels is not None else None
-
-    @classmethod
-    def _built(cls, groups: Iterable[FiniteGroup], op: Iterable[tuple[int, ...]],
-               labels=None) -> "MCQ":
-        """A structure on rows that the library computed itself: at least
-        one group and a carrier x carrier square of tuples of carrier
-        indices, which __init__ would only copy and check again cell by
-        cell.  The offsets and group_of are still derived."""
-        x = cls.__new__(cls)
-        x._fill(tuple(groups), tuple(op), labels)
-        return x
 
     @property
     def group_count(self) -> int:
@@ -98,9 +81,6 @@ class MCQ:
         # x * (a a^-1) = x forces S_a^-1 = S_(a^-1)
         return self.op[x][self.ginv(a)]
 
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
-
     def to_json(self) -> dict:
         data = {"groups": [g.to_json() for g in self.groups],
                 "op": [list(r) for r in self.op]}
@@ -121,18 +101,13 @@ class MCQ:
         if not isinstance(data["groups"], list):
             raise ValueError("'groups' must be a list")
         groups = [FiniteGroup.from_json(g, check=check) for g in data["groups"]]
-        x = cls(groups, data["op"], data.get("labels"))
-        if check:
-            bad = check_mcq_axioms(x)
-            if bad is not None:
-                raise InvalidTable(f"{bad.axiom} fails at {bad.witness}")
-        return x
+        return cls(groups, data["op"], data.get("labels"))._checked(check, check_mcq_axioms)
 
     def __repr__(self):
         return f"<MCQ {self.group_count} groups, carrier {self.size}>"
 
 
-def check_mcq_axioms(x: MCQ) -> Optional[McqViolation]:
+def check_mcq_axioms(x: MCQ) -> Optional[AxiomViolation]:
     """None when all four axioms hold, else the first violation.
 
     Axioms, in checking order: the operation restricted to one group is
@@ -216,29 +191,29 @@ def _holds(x: MCQ) -> bool:
                         [y for gamma in gammas for y in gamma])
 
 
-def _first_violation(x: MCQ) -> Optional[McqViolation]:
+def _first_violation(x: MCQ) -> Optional[AxiomViolation]:
     op = x.op
     for lam in range(x.group_count):
         for a in x.group_range(lam):
             for b in x.group_range(lam):
                 if op[a][b] != x.gmul(x.gmul(x.ginv(b), a), b):
-                    return McqViolation("conjugation", (a, b))
+                    return AxiomViolation("conjugation", (a, b))
     for xx in range(x.size):
         for lam in range(x.group_count):
             if op[xx][x.identity_of(lam)] != xx:
-                return McqViolation("group-action", (xx, x.identity_of(lam)))
+                return AxiomViolation("group-action", (xx, x.identity_of(lam)))
     for xx in range(x.size):
         for lam in range(x.group_count):
             for a in x.group_range(lam):
                 for b in x.group_range(lam):
                     if op[xx][x.gmul(a, b)] != op[op[xx][a]][b]:
-                        return McqViolation("group-action", (xx, a, b))
+                        return AxiomViolation("group-action", (xx, a, b))
     for xx in range(x.size):
         for y in range(x.size):
             xy = op[xx][y]
             for z in range(x.size):
                 if op[xy][z] != op[op[xx][z]][op[y][z]]:
-                    return McqViolation("self-distributivity", (xx, y, z))
+                    return AxiomViolation("self-distributivity", (xx, y, z))
     for lam in range(x.group_count):
         for a in x.group_range(lam):
             for b in x.group_range(lam):
@@ -246,9 +221,9 @@ def _first_violation(x: MCQ) -> Optional[McqViolation]:
                 for xx in range(x.size):
                     ax, bx = op[a][xx], op[b][xx]
                     if x.group_of[ax] != x.group_of[bx]:
-                        return McqViolation("product-equivariance", (a, b, xx))
+                        return AxiomViolation("product-equivariance", (a, b, xx))
                     if op[ab][xx] != x.gmul(ax, bx):
-                        return McqViolation("product-equivariance", (a, b, xx))
+                        return AxiomViolation("product-equivariance", (a, b, xx))
     return None
 
 
@@ -320,7 +295,7 @@ def pair_labeler(label, m: int):
     return lambda i: f"({label(i // m)};{i % m})"
 
 
-def check_associated_axioms(q: FiniteQuandle) -> Optional[McqViolation]:
+def check_associated_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
     """check_mcq_axioms(associated_mcq(q)), building the carrier only when
     q is not a quandle.
 

@@ -96,7 +96,37 @@ class Partition:
         return cls(data)
 
 
-class FiniteQuandle:
+class _Table:
+    """The base of the three table kinds, FiniteQuandle, FiniteGroup and
+    MCQ: square rows of element indices, with labels or None."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _built(cls, *parts):
+        """An object on rows that the library computed itself, filled by the
+        class's _fill: a non-empty square of tuples of element indices (a
+        group's with its two-sided identity given, an MCQ's with at least
+        one group), which __init__ would only check again cell by cell.
+        What the rows imply is still derived: a group's inverses, an MCQ's
+        offsets and group_of."""
+        obj = cls.__new__(cls)
+        obj._fill(*parts)
+        return obj
+
+    def _checked(self, check: bool, checker):
+        """self; when check is true, checker(self) must find no violation,
+        or InvalidTable names the one it finds."""
+        bad = checker(self) if check else None
+        if bad is not None:
+            raise InvalidTable(bad)
+        return self
+
+    def label(self, a: int) -> str:
+        return self.labels[a] if self.labels is not None else str(a)
+
+
+class FiniteQuandle(_Table):
     """A quandle on {0, ..., size-1} given by its table: table[a][b] == a * b.
 
     Each column x -> x * b permutes a finite set, so the inverse operation
@@ -108,34 +138,17 @@ class FiniteQuandle:
     def __init__(self, table, labels=None, size=None):
         self._fill(*read_table(table, labels, "table", size))
 
-    def _fill(self, rows: tuple, labels) -> None:
-        self.size = len(rows)
-        self.table = rows
+    def _fill(self, rows, labels=None) -> None:
+        self.table = tuple(rows)
+        self.size = len(self.table)
         self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def _built(cls, rows: Sequence[tuple[int, ...]], labels=None) -> "FiniteQuandle":
-        """A quandle on rows that the library computed itself: a non-empty
-        square of tuples of element indices, which __init__ would only check
-        again cell by cell."""
-        q = cls.__new__(cls)
-        q._fill(tuple(rows), labels)
-        return q
-
-    @classmethod
     def from_table(cls, table, labels=None, check: bool = True, size=None) -> "FiniteQuandle":
-        q = cls(table, labels, size)
-        if check:
-            bad = check_axioms(q)
-            if bad is not None:
-                raise InvalidTable(bad)
-        return q
+        return cls(table, labels, size)._checked(check, check_axioms)
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
 
     def to_json(self) -> dict:
         data = {"size": self.size, "table": [list(r) for r in self.table]}

@@ -36,6 +36,7 @@ from .mcq import (
     maximal_mcq_decomposition,
 )
 from .quandle import (
+    AxiomViolation,
     FiniteQuandle,
     Partition,
     action_generators,
@@ -325,12 +326,7 @@ def near_quandle(rng, q: FiniteQuandle) -> FiniteQuandle:
 def relabelled(rng, q: FiniteQuandle) -> FiniteQuandle:
     """q carried along a random permutation p of its elements, so that p is
     an isomorphism onto the result: p(a) * p(b) == p(a * b)."""
-    p = rng.sample(range(q.size), q.size)
-    t = [[0] * q.size for _ in range(q.size)]
-    for a, row in enumerate(q.table):
-        for b, ab in enumerate(row):
-            t[p[a]][p[b]] = p[ab]
-    return FiniteQuandle(t)
+    return FiniteQuandle(relabelled_table(rng, q.table))
 
 
 def transports(phi, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
@@ -509,7 +505,7 @@ def perturbed_product(rng, g: FiniteGroup) -> list[list[int]]:
     return t
 
 
-def reference_light_test(g: FiniteGroup) -> Optional[str]:
+def reference_light_test(g: FiniteGroup) -> Optional[AxiomViolation]:
     """check_group's verdict and witness by Light's test on each greedy
     pick c, one n^2 pass per pick comparing (x y) c with x (y c) row by
     row, as reference code for the spanning-tree certificate."""

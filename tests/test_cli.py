@@ -177,6 +177,16 @@ class TestComputeCommands:
         assert json.loads(out) == tree
 
 
+def _mcq_with_a_wrong_conjugation():
+    """The associated structure of R3 with the product of (0, 0) and the
+    identity of its group changed."""
+    x = associated_mcq(dihedral(3).quandle)
+    data = x.to_json()
+    e = x.identity_of(0)
+    data["op"][0][e] = 1 if data["op"][0][e] != 1 else 2
+    return data
+
+
 class TestTableLoading:
     def test_table_round_trip(self, capsys, tmp_path):
         q = conj_quandle(symmetric_group(3))
@@ -195,6 +205,20 @@ class TestTableLoading:
         code, out, _ = run(capsys, "axioms", "--table", str(path), "--unchecked")
         assert code == 3  # axioms verb still reports the violation
         assert "idempotency" in out
+
+    @pytest.mark.parametrize("argv,data,err", [
+        (["axioms", "--table"], lambda: {"size": 2, "table": [[1, 0], [1, 1]]},
+         "invalid table: idempotency fails at (0,)\n"),
+        (["components", "--conj", "--group"], lambda: {"mult": NON_ASSOCIATIVE_LOOP},
+         "invalid table: associativity fails at (1, 1, 1)\n"),
+        (["axioms", "--mcq"], _mcq_with_a_wrong_conjugation,
+         "invalid table: conjugation fails at (0, 0)\n"),
+    ], ids=["table", "group", "mcq"])
+    def test_each_loader_refuses_a_failing_file_with_its_witness(self, capsys, tmp_path,
+                                                                 argv, data, err):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data()))
+        assert run(capsys, *argv, str(path)) == (3, "", err)
 
     @pytest.mark.parametrize("source,flags", [
         ("table", []), ("table", ["--assoc"]), ("table", ["--format", "json"]),
@@ -1015,9 +1039,16 @@ class TestResourceLimit:
 
     @pytest.mark.parametrize("argv", [["components", "--dihedral", "99999999999999999999"],
                                       ["build", "99999999999999999999999; t+1",
-                                       "--format", "json"]])
-    def test_overflow_of_a_machine_size_integer(self, capsys, argv):
-        # both calls raise on their first range of the order, before allocating
+                                       "--format", "json"],
+                                      ["assoc", "--alexander", "1180591620717411303424; t+3"]])
+    def test_overflow_of_a_machine_size_integer(self, capsys, monkeypatch, argv):
+        # each call raises on its first range of the order, before allocating;
+        # text assoc lists the labels before it works out the order of t, a
+        # walk of about 2^68 steps here, so that walk is refused
+        from quandles.tmodule import FiniteTModule
+
+        monkeypatch.setattr(FiniteTModule, "t_order",
+                            property(self._raise(AssertionError("t_order was walked"))))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (5, "")
         assert err.startswith("error: resource limit: OverflowError") and err.count("\n") == 1

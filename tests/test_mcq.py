@@ -5,6 +5,7 @@ import pytest
 
 from quandles import (
     MCQ,
+    AxiomViolation,
     FiniteGroup,
     InvalidTable,
     alexander_quandle,
@@ -27,7 +28,8 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
-from quandles.mcq import McqViolation, _first_violation, associated_json_text
+from quandles.mcq import _first_violation, associated_json_text
+from quandles.quandle import action_generators
 from quandles.verify import (_random_module, _random_quandle, near_quandle, random_small_mcq,
                              reference_associated_op, relabelled, same_structure,
                              substructure_criteria)
@@ -198,7 +200,7 @@ class TestAxioms:
         x = MCQ((z2, z2), op)
         assert all(op[op[a][b]][c] == op[op[a][c]][op[b][c]]
                    for a in range(4) for b in range(4) for c in range(4))
-        assert check_mcq_axioms(x) == _first_violation(x) == McqViolation(
+        assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
             "product-equivariance", (0, 0, 3))
 
     def test_an_action_that_fails_only_at_the_second_pick(self):
@@ -210,7 +212,26 @@ class TestAxioms:
         cycle = {4: 5, 5: 6, 6: 4}
         op = [[cycle.get(x, x) if a in (2, 3) else x for a in range(7)] for x in range(7)]
         x = MCQ((klein, trivial, trivial, trivial), op)
-        assert check_mcq_axioms(x) == _first_violation(x) == McqViolation("group-action", (4, 2, 2))
+        assert (check_mcq_axioms(x) == _first_violation(x)
+                == AxiomViolation("group-action", (4, 2, 2)))
+
+    def test_a_structure_that_fails_only_at_a_later_pick_of_z(self):
+        # Z_2 on {0, 1}, {2, 3}, {4, 5} and the trivial group {6}, from a seeded
+        # random_small_mcq draw; S_1 swaps 2, 4 and 3, 5, S_3 swaps 0, 4 and 1, 5, and
+        # every other S_a is the identity, so the first pick of Z alone would accept it
+        z2 = cyclic_group(2)
+        op = [[0, 0, 0, 4, 0, 0, 0], [1, 1, 1, 5, 1, 1, 1], [2, 4, 2, 2, 2, 2, 2],
+              [3, 5, 3, 3, 3, 3, 3], [4, 2, 4, 0, 4, 4, 4], [5, 3, 5, 1, 5, 5, 5],
+              [6, 6, 6, 6, 6, 6, 6]]
+        x = MCQ((z2, z2, z2, cyclic_group(1)), op)
+
+        def act(y, p):  # the group product inside one group, * across groups
+            return x.gmul(y, p) if x.group_of[y] == x.group_of[p] else op[y][p]
+
+        assert action_generators(range(7), (), act) == [0, 1, 2, 3, 6]
+        assert [row[0] for row in op] == list(range(7))
+        assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
+            "self-distributivity", (0, 3, 1))
 
     def test_trivial_quandles_and_trivial_groups(self):
         rng = random.Random(17)

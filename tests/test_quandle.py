@@ -5,6 +5,7 @@ import time
 import pytest
 
 from quandles import (
+    AxiomViolation,
     FiniteQuandle,
     InvalidTable,
     NotASubquandle,
@@ -119,6 +120,17 @@ class TestAxioms:
         assert bad.axiom == "self-distributivity"
         assert bad.witness == (0, 1, 0)
 
+    def test_a_table_that_fails_only_at_a_later_pick(self):
+        # idempotent, columns bijective; the picks of x -> x * p are 0, 1 and 2, and
+        # S_0 is the identity, so the first pick alone would accept the table
+        table = ((0, 0, 0, 0, 0, 0), (1, 1, 5, 5, 2, 2), (2, 5, 2, 1, 5, 1),
+                 (3, 4, 1, 3, 3, 4), (4, 3, 3, 4, 4, 3), (5, 2, 4, 2, 1, 5))
+        q = FiniteQuandle(table)
+        assert action_generators(range(6), (), lambda x, p: table[x][p]) == [0, 1, 2]
+        assert [row[0] for row in table] == list(range(6))
+        assert check_axioms(q) == _first_violation(q) == AxiomViolation(
+            "self-distributivity", (1, 3, 2))
+
     def test_generator_decision_matches_the_scan_on_near_quandles(self, conj_s3, tetrahedral):
         rng = random.Random(7)
         bases = [dihedral(m).quandle for m in (3, 4, 5, 6, 9)] + [
@@ -137,6 +149,18 @@ class TestAxioms:
             FiniteQuandle.from_table([[1, 0], [1, 1]])
         q = FiniteQuandle.from_table([[1, 0], [1, 1]], check=False)
         assert q.size == 2
+
+
+class TestBuiltQuandles:
+    @pytest.mark.parametrize("q", [trivial_quandle(1), trivial_quandle(4), dihedral(5).quandle,
+                                   conj_quandle(symmetric_group(3)),
+                                   subquandle(dihedral(6).quandle, [0, 2, 4])],
+                             ids=["trivial-1", "trivial-4", "dihedral-5", "conj-s3", "subquandle"])
+    def test_built_quandle_equals_the_validated_one(self, q):
+        derived = FiniteQuandle([list(row) for row in q.table], q.labels)
+        assert (q.size, q.table, q.labels) == (derived.size, derived.table, derived.labels)
+        # each constructor hands _built a list of rows, which _fill makes a tuple
+        assert type(q.table) is tuple
 
 
 class TestOpPow:
