@@ -10,7 +10,6 @@ from .laurent import (
     ONE_MINUS_T,
     LaurentPoly,
     ParseError,
-    SyzygyBasis,
     eval_one,
     format_poly,
     gcd_vec,

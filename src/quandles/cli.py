@@ -323,7 +323,7 @@ def _cmd_assoc(args):
     src = _resolve_sources(args)[0]
     module = isinstance(src, FiniteTModule)
     if args.format == "json":
-        print(src.json_text() if isinstance(src, MCQ) else
+        print(json.dumps(src.to_json(), sort_keys=True) if isinstance(src, MCQ) else
               associated_json_text(_quandle(src), src.t_order if module else None))
         return EXIT_OK
     if isinstance(src, MCQ):
@@ -342,8 +342,13 @@ def _cmd_assoc(args):
 
 def _cmd_verify(args):
     # imported here: every other verb would pay to load the reference code
-    from .verify import DEFAULT_SEED, run_checks
+    from .verify import CHECK_GROUPS, DEFAULT_SEED, run_checks
 
+    names = [name for name, _ in CHECK_GROUPS]
+    if args.only and not any(args.only in name for name in names):
+        # else no check would run, and the empty run would pass
+        raise SystemExit2(f"--only {args.only!r} matches no check group; the groups are "
+                          + ", ".join(names), EXIT_PARSE)
     seed = DEFAULT_SEED if args.seed is None else args.seed
     rows = run_checks(only=args.only, seed=seed)
     failures = [r for r in rows if not r.ok]

@@ -9,7 +9,6 @@ changes no algebraic property used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
@@ -270,25 +269,13 @@ def gcd_vec(values: Iterable[int]) -> int:
     return reduce(math.gcd, values, 0)
 
 
-@dataclass(frozen=True)
-class SyzygyBasis:
-    """Canonical (row Hermite form) basis of {s : sum s_i c_i == 0}."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def syzygy_basis(c: Sequence[int]) -> SyzygyBasis:
-    """Basis of the integer kernel lattice of v -> sum v_i c_i.
+def syzygy_basis(c: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Canonical (row Hermite form) basis of the integer kernel lattice
+    {s : sum s_i c_i == 0} of v -> sum v_i c_i, as the tuple of its rows.
 
     The rank is k - 1 when some entry is nonzero, k when all are zero.
     """
     if not c:
         raise ValueError("need at least one entry")
     kern = left_kernel([[int(v)] for v in c])
-    return SyzygyBasis(tuple(tuple(row) for row in hnf(kern)))
+    return tuple(tuple(row) for row in hnf(kern))

@@ -88,12 +88,6 @@ class MCQ(_Table):
             data["labels"] = list(self.labels)
         return data
 
-    def json_text(self) -> str:
-        """json.dumps(self.to_json(), sort_keys=True), each op row read from the names."""
-        names = [str(i) for i in range(self.size)]
-        return _json_text([g.to_json() for g in self.groups], self.labels,
-                          (_reader(row)(names) for row in self.op))
-
     @classmethod
     def from_json(cls, data, check: bool = True) -> "MCQ":
         if not isinstance(data, dict) or "groups" not in data or "op" not in data:
@@ -248,7 +242,8 @@ def associated_mcq(q: FiniteQuandle, m: Optional[int] = None) -> MCQ:
 
 
 def associated_json_text(q: FiniteQuandle, m: Optional[int] = None) -> str:
-    """associated_mcq(q, m).json_text(), written from q's rows with no int row."""
+    """json.dumps(associated_mcq(q, m).to_json(), sort_keys=True), written
+    from q's rows with no int row."""
     m = type_of(q) if m is None else m
     names = [str(i) for i in range(q.size * m)]
     return _json_text([cyclic_group(m).to_json()] * q.size,

@@ -35,27 +35,27 @@ class NotASubquandle(ValueError):
     """
 
 
-class Partition:
-    """A partition of element indices, canonicalized.
+class Partition(tuple):
+    """A partition of element indices, canonicalized: the tuple of its blocks.
 
-    Blocks are sorted tuples ordered by their minimum, so equal partitions
-    compare equal and every report is reproducible.
+    Blocks are sorted tuples ordered by their minimum, empty ones dropped,
+    so equal partitions compare equal and every report is reproducible.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ()
 
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        cleaned = sorted(tuple(sorted(set(b))) for b in blocks if b)
-        object.__setattr__(self, "blocks", tuple(cleaned))
+    def __new__(cls, blocks: Iterable[Iterable[int]]):
+        return super().__new__(cls, sorted(tuple(sorted(set(b))) for b in blocks if b))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return self
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(b) for b in self.blocks))
+        return tuple(sorted(map(len, self)))
 
     def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
+        for b in self:
             if x in b:
                 return b
         raise KeyError(x)
@@ -63,33 +63,21 @@ class Partition:
     def refines(self, other: "Partition") -> bool:
         """Every block here sits inside a single block of `other`."""
         owner = {}
-        for i, b in enumerate(other.blocks):
+        for i, b in enumerate(other):
             for x in b:
                 owner[x] = i
-        for b in self.blocks:
+        for b in self:
             if any(x not in owner for x in b):
                 return False
             if len({owner[x] for x in b}) != 1:
                 return False
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
     def __repr__(self):
-        return f"Partition({[list(b) for b in self.blocks]})"
+        return f"Partition({self.to_json()})"
 
     def to_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
+        return [list(b) for b in self]
 
     @classmethod
     def from_json(cls, data) -> "Partition":

@@ -14,7 +14,7 @@ from quandles.decomposition import maximal_decomposition
 from quandles.group import FiniteGroup, conj_quandle, cyclic_group
 from quandles.mcq import MCQ, associated_mcq
 from quandles.quandle import FiniteQuandle, type_of
-from quandles.verify import NON_ASSOCIATIVE_LOOP
+from quandles.verify import CHECK_GROUPS, NON_ASSOCIATIVE_LOOP
 
 
 def run(capsys, *argv):
@@ -807,8 +807,7 @@ class TestAssocOutput:
             path.write_text(json.dumps(data))
             argv = [flag, str(path)]
         written = run(capsys, "assoc", *argv, "--format", "json")
-        # both writers: an --mcq file's and a quandle source's
-        monkeypatch.setattr(MCQ, "json_text", lambda x: json.dumps(x.to_json(), sort_keys=True))
+        # a quandle source's writer; an --mcq file's is json.dumps of to_json itself
         monkeypatch.setattr("quandles.cli.associated_json_text", lambda q, m=None: json.dumps(
             associated_mcq(q, m).to_json(), sort_keys=True))
         dumped = run(capsys, "assoc", *argv, "--format", "json")
@@ -993,6 +992,20 @@ class TestVerify:
         data = json.loads(out)
         assert data["failures"] == 0
         assert all(row["ok"] for row in data["checks"])
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_an_only_that_matches_no_group_is_refused(self, capsys, tmp_path, how):
+        # an empty run would pass: a typo in a CI step or a config file must not
+        if how == "flag":
+            argv = ["verify", "--only", "no-such-group"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"only": "no-such-group"}))
+            argv = ["--config", str(path), "verify"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --only 'no-such-group' matches no check group; ")
+        assert all(name in err for name, _ in CHECK_GROUPS)
 
 
 def test_a_reader_closing_stdout_ends_the_call_quietly_with_141():

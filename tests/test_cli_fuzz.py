@@ -135,7 +135,8 @@ def _argv(rng, files):
     elif verb == "prop56":
         argv += [_number(rng, 64), str(rng.randint(-64, 64)) if rng.random() < 0.9 else "q"]
     elif verb == "verify":
-        # a substring no check group has: the run itself is the slow part
+        # a substring no check group has, so verify is refused (exit 2) and
+        # no check runs: the checks are the slow part
         argv += ["--only", "no-such-group"]
         argv += rng.choice([[], ["--seed", str(rng.randint(0, 99))], ["--seed", "q"]])
     else:

@@ -6,7 +6,6 @@ import pytest
 from quandles import (
     MCQ,
     AxiomViolation,
-    FiniteGroup,
     InvalidTable,
     alexander_quandle,
     build,
@@ -203,27 +202,14 @@ class TestAxioms:
         assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
             "product-equivariance", (0, 0, 3))
 
-    def test_an_action_that_fails_only_at_the_second_pick(self):
-        # the Klein four group (xor on 0-3) and the trivial groups {4}, {5}, {6}; the
-        # picks of the Klein group are 1 and 2, rho(1) is trivial, and rho(2) = rho(3)
-        # is the 3-cycle (4 5 6), so rho(2 2) = rho(0) is not rho(2) rho(2)
-        klein = FiniteGroup([[a ^ b for b in range(4)] for a in range(4)])
-        trivial = cyclic_group(1)
-        cycle = {4: 5, 5: 6, 6: 4}
-        op = [[cycle.get(x, x) if a in (2, 3) else x for a in range(7)] for x in range(7)]
-        x = MCQ((klein, trivial, trivial, trivial), op)
+    def test_an_action_that_fails_only_at_the_second_pick(self, later_gamma_pick_mcq):
+        x = later_gamma_pick_mcq
         assert (check_mcq_axioms(x) == _first_violation(x)
                 == AxiomViolation("group-action", (4, 2, 2)))
 
-    def test_a_structure_that_fails_only_at_a_later_pick_of_z(self):
-        # Z_2 on {0, 1}, {2, 3}, {4, 5} and the trivial group {6}, from a seeded
-        # random_small_mcq draw; S_1 swaps 2, 4 and 3, 5, S_3 swaps 0, 4 and 1, 5, and
-        # every other S_a is the identity, so the first pick of Z alone would accept it
-        z2 = cyclic_group(2)
-        op = [[0, 0, 0, 4, 0, 0, 0], [1, 1, 1, 5, 1, 1, 1], [2, 4, 2, 2, 2, 2, 2],
-              [3, 5, 3, 3, 3, 3, 3], [4, 2, 4, 0, 4, 4, 4], [5, 3, 5, 1, 5, 5, 5],
-              [6, 6, 6, 6, 6, 6, 6]]
-        x = MCQ((z2, z2, z2, cyclic_group(1)), op)
+    def test_a_structure_that_fails_only_at_a_later_pick_of_z(self, later_z_pick_mcq):
+        x = later_z_pick_mcq
+        op = x.op
 
         def act(y, p):  # the group product inside one group, * across groups
             return x.gmul(y, p) if x.group_of[y] == x.group_of[p] else op[y][p]

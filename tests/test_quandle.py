@@ -6,6 +6,7 @@ import pytest
 
 from quandles import (
     AxiomViolation,
+    FiniteGroup,
     FiniteQuandle,
     InvalidTable,
     NotASubquandle,
@@ -13,9 +14,14 @@ from quandles import (
     alexander_quandle,
     build,
     check_axioms,
+    check_group,
+    check_mcq_axioms,
     column_cycle_type,
+    conj_components,
     conj_quandle,
+    conjugacy_classes,
     connected_components,
+    cyclic_group,
     dihedral,
     find_isomorphism,
     generated_subquandle,
@@ -27,8 +33,9 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
+from quandles import group, mcq, quandle
 from quandles.quandle import _first_violation, action_generators
-from quandles.verify import near_quandle, relabelled, transports
+from quandles.verify import NON_ASSOCIATIVE_LOOP, _product_table, near_quandle, relabelled, transports
 
 
 def label_index(q, name):
@@ -88,6 +95,35 @@ class TestPartition:
         p = Partition([[0, 2], [1]])
         assert Partition.from_json(p.to_json()) == p
 
+    def test_equal_partitions_hash_alike_and_are_one_key(self):
+        p, q = Partition([[1, 3], [0, 2]]), Partition([(2, 0), [], (3, 1)])
+        assert hash(p) == hash(q) == hash(((0, 2), (1, 3)))
+        assert {p: "first", q: "second"} == {p: "second"}
+
+    def test_immutable(self):
+        p = Partition([[0, 2], [1]])
+        with pytest.raises(AttributeError):
+            p.blocks = ((0, 1, 2),)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p.blocks is p
+
+    def test_len_and_iteration_run_over_the_blocks(self):
+        p = Partition([[4, 3], [0], [2, 1]])
+        assert len(p) == 3
+        assert list(p) == [(0,), (1, 2), (3, 4)]
+        assert p.block_of(2) == (1, 2)
+        with pytest.raises(KeyError):
+            p.block_of(5)
+
+    def test_repr(self):
+        assert repr(Partition([[2, 0], [1]])) == "Partition([[0, 2], [1]])"
+
+    def test_a_partition_is_the_tuple_of_its_blocks(self):
+        p = Partition([[2, 0], [1]])
+        assert isinstance(p, tuple)
+        assert p == ((0, 2), (1,))
+
 
 class TestAxioms:
     def test_dihedral_ok(self):
@@ -120,12 +156,9 @@ class TestAxioms:
         assert bad.axiom == "self-distributivity"
         assert bad.witness == (0, 1, 0)
 
-    def test_a_table_that_fails_only_at_a_later_pick(self):
-        # idempotent, columns bijective; the picks of x -> x * p are 0, 1 and 2, and
-        # S_0 is the identity, so the first pick alone would accept the table
-        table = ((0, 0, 0, 0, 0, 0), (1, 1, 5, 5, 2, 2), (2, 5, 2, 1, 5, 1),
-                 (3, 4, 1, 3, 3, 4), (4, 3, 3, 4, 4, 3), (5, 2, 4, 2, 1, 5))
-        q = FiniteQuandle(table)
+    def test_a_table_that_fails_only_at_a_later_pick(self, later_pick_quandle):
+        q = later_pick_quandle
+        table = q.table
         assert action_generators(range(6), (), lambda x, p: table[x][p]) == [0, 1, 2]
         assert [row[0] for row in table] == list(range(6))
         assert check_axioms(q) == _first_violation(q) == AxiomViolation(
@@ -396,3 +429,40 @@ class TestJson:
             FiniteQuandle.from_json({"size": 3, "table": [[0, 1], [1, 0]]})
         with pytest.raises(ValueError):
             FiniteQuandle.from_json({"table": [[0, 1]]})
+
+
+# the first-pick mutant of each module's action_generators: it keeps only the
+# first pick of the calls with a start set (True), of those without (False),
+# or of all of them (None); an MCQ's calls with one pick its groups' Gamma,
+# those without its Z
+FIRST_PICK_MUTANTS = {"quandle": (quandle, None), "gamma": (mcq, True), "z": (mcq, False),
+                      "group": (group, None)}
+
+
+def _first_pick_only(started):
+    def mutant(elements, start, act):
+        picks = action_generators(elements, start, act)
+        return picks[:1] if started in (None, bool(start)) else picks
+    return mutant
+
+
+# wrong(witness): the answer on the witness is wrong, a failing table accepted
+# or the conjugacy classes missed
+@pytest.mark.parametrize("own,build,wrong", [
+    ("quandle", lambda fx: fx("later_pick_quandle"), lambda q: check_axioms(q) is None),
+    ("gamma", lambda fx: fx("later_gamma_pick_mcq"), lambda x: check_mcq_axioms(x) is None),
+    ("z", lambda fx: fx("later_z_pick_mcq"), lambda x: check_mcq_axioms(x) is None),
+    ("group", lambda fx: FiniteGroup(_product_table(NON_ASSOCIATIVE_LOOP, cyclic_group(2).mult)),
+     lambda g: check_group(g) is None),
+    ("group", lambda fx: symmetric_group(3),
+     lambda g: conj_components(g) != conjugacy_classes(g)),
+], ids=["quandle-axioms", "mcq-gamma-picks", "mcq-z-picks", "group-associativity",
+        "conj-components"])
+def test_each_committed_witness_is_missed_only_by_its_own_mutant(monkeypatch, request,
+                                                                 own, build, wrong):
+    witness = build(request.getfixturevalue)
+    assert not wrong(witness)
+    for name, (module, started) in FIRST_PICK_MUTANTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "action_generators", _first_pick_only(started))
+            assert wrong(witness) == (name == own), name
