@@ -69,9 +69,19 @@ def _add_source_flags(sub):
                           "multiple conjugation quandle")
 
 
+class _Ints(dict):
+    """The ints of one JSON document by their spelling, each parsed once, so
+    equal entries are one object: a loaded order-n table holds n ints, not
+    up to n^2 (CPython shares only -5..256)."""
+
+    def __missing__(self, text):
+        value = self[text] = int(text)
+        return value
+
+
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=_Ints().__getitem__)
 
 
 def _resolve_one(kind, value, args):
@@ -454,8 +464,7 @@ def _config_defaults(path, parsers):
     every key is the destination of a flag and every value is one that flag
     accepts: a boolean for a switch, one of its choices, or its type."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = _load_json(path)
     except (OSError, ValueError) as exc:
         raise SystemExit2(f"cannot read config file {path}: {exc}", EXIT_PARSE) from None
     if not isinstance(data, dict):

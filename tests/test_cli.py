@@ -438,6 +438,32 @@ class TestTableLoading:
         code, out, err = run(capsys, *argv, *["--unchecked"] * unchecked)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    # raw file text: json.dumps cannot spell these entries
+    @pytest.mark.parametrize("entry,expected", [
+        ("1e0", (2, "", "error: 'table' entries must be integers\n")),
+        ("1.0", (2, "", "error: 'table' entries must be integers\n")),
+        ("-0", (0, "1 connected component(s), sizes [1]:\n  {0}\n", "")),
+    ], ids=["exponent", "fraction", "minus-zero"])
+    def test_number_spellings_keep_their_refusals(self, capsys, tmp_path, entry, expected):
+        path = tmp_path / "n.json"
+        path.write_text('{"table": [[%s]]}' % entry)
+        assert run(capsys, "components", "--table", str(path)) == expected
+
+    def test_entry_past_the_digit_limit_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "n.json"
+        path.write_text('{"table": [[%s]]}' % ("7" * 5000))
+        code, out, err = run(capsys, "components", "--table", str(path))
+        # the rest of the message is Python's own wording of its limit
+        assert (code, out) == (2, "") and err.startswith("error: ") and "4300" in err
+
+    def test_loaded_table_holds_one_int_per_value(self, tmp_path):
+        path = tmp_path / "cs6.json"
+        path.write_text(json.dumps(conj_quandle(symmetric_group(6)).to_json()))
+        data = cli._load_json(path)
+        assert len({id(x) for row in data["table"] for x in row}) == 720
+        q = FiniteQuandle.from_json(data)
+        assert len({id(x) for row in q.table for x in row}) == 720
+
     def test_constructors_read_tuples_and_refuse_bools(self):
         # the constructors share the files' reader: tuple rows and labels pass
         q = FiniteQuandle(((0, 0), (1, 1)), ("a", 1))
