@@ -67,11 +67,9 @@ from .alexander import (
     dihedral_presentation,
     gcd_chain,
     orbit_count,
-    translation_iso,
 )
 from .decomposition import (
     Decomposition,
-    depth,
     iterate_refinement,
     maximal_decomposition,
 )

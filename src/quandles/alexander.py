@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .decomposition import Decomposition
 from .laurent import LaurentPoly, eval_one, format_poly, gcd_vec, split_one_minus_t, syzygy_basis
-from .quandle import FiniteQuandle, Partition, connected_components
+from .quandle import FiniteQuandle, Partition
 from .tmodule import FiniteTModule, IdealPresentation, build
 
 
@@ -177,27 +177,6 @@ def component_ideal(gens: Iterable[LaurentPoly]) -> ComponentIdeal:
         if combo:
             extras.append(combo)
     return ComponentIdeal(gcd_vec(values), tuple(gl + extras), _linear_note(gl))
-
-
-def translation_iso(aq: AlexanderQuandle, a: tuple[int, ...]) -> dict:
-    """The translation x -> x + a from the component of 0 onto the component
-    of a, verified to transport the operation."""
-    module = aq.module
-    elems = module.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    comps = connected_components(aq.quandle)
-    orb0 = comps.block_of(index[module.zero()])
-    target = set(comps.block_of(index[a]))
-    phi = {elems[i]: module.add(elems[i], a) for i in orb0}
-    if {index[y] for y in phi.values()} != target:
-        raise RuntimeError("translation does not map onto the target component")
-    table = aq.quandle.table
-    for x in orb0:
-        for y in orb0:
-            image = module.add(elems[table[x][y]], a)
-            if image != elems[table[index[phi[elems[x]]]][index[phi[elems[y]]]]]:
-                raise RuntimeError("translation is not a homomorphism")
-    return phi
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,7 @@ def _resolve_one(kind, value, args):
     if args.unchecked and args.verb != "axioms":
         bad = check_columns(obj if isinstance(obj, FiniteQuandle) else FiniteQuandle._built(obj.op))
         if bad is not None:
-            raise InvalidTable("right translations are not bijections "
-                               f"({bad.axiom} fails at {bad.witness})")
+            raise InvalidTable(f"right translations are not bijections ({bad})")
     return obj
 
 

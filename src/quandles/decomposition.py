@@ -32,11 +32,6 @@ class Decomposition:
             "levels": [level.to_json() for level in self.levels],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "Decomposition":
-        levels = tuple(Partition.from_json(level) for level in data["levels"])
-        return cls(levels, int(data["depth"]), levels[-1])
-
 
 def iterate_refinement(start: Partition,
                        refine_block: Callable[[tuple[int, ...]], Iterable[Iterable[int]]]
@@ -61,8 +56,3 @@ def maximal_decomposition(q: FiniteQuandle) -> Decomposition:
     """The maximal connected subquandle decomposition, with the full tower."""
     start = Partition([range(q.size)])
     return iterate_refinement(start, lambda block: connected_components(q, block).blocks)
-
-
-def depth(q: FiniteQuandle) -> int:
-    """Rounds of refinement needed to stabilize; 0 exactly when connected."""
-    return maximal_decomposition(q).depth

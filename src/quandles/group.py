@@ -55,9 +55,6 @@ class FiniteGroup(_Table):
         self.inv = tuple(inv)
         self.labels = tuple(labels) if labels is not None else None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
     def to_json(self) -> dict:
         data = {"size": self.size, "mult": [list(r) for r in self.mult],
                 "identity": self.identity}

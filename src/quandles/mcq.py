@@ -74,13 +74,6 @@ class MCQ(_Table):
         off = self.offsets[lam]
         return off + self.groups[lam].inv[a - off]
 
-    def star(self, x: int, a: int) -> int:
-        return self.op[x][a]
-
-    def star_inv(self, x: int, a: int) -> int:
-        # x * (a a^-1) = x forces S_a^-1 = S_(a^-1)
-        return self.op[x][self.ginv(a)]
-
     def to_json(self) -> dict:
         data = {"groups": [g.to_json() for g in self.groups],
                 "op": [list(r) for r in self.op]}
@@ -378,10 +371,6 @@ class McqDecomposition:
         data = self.index_tree.to_json()
         data["carrier_blocks"] = self.carrier_partition.to_json()
         return data
-
-    @classmethod
-    def from_json(cls, data) -> "McqDecomposition":
-        return cls(Decomposition.from_json(data), Partition.from_json(data["carrier_blocks"]))
 
 
 def maximal_mcq_decomposition(x: MCQ) -> McqDecomposition:

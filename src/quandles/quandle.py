@@ -14,17 +14,12 @@ class AxiomViolation:
     axiom: str
     witness: tuple[int, ...]
 
+    def __str__(self):
+        return f"{self.axiom} fails at {self.witness}"
+
 
 class InvalidTable(ValueError):
     """A loaded table fails its axioms."""
-
-    def __init__(self, violation):
-        if isinstance(violation, str):
-            super().__init__(violation)
-            self.violation = None
-        else:
-            super().__init__(f"{violation.axiom} fails at {violation.witness}")
-            self.violation = violation
 
 
 class NotASubquandle(ValueError):
@@ -79,10 +74,6 @@ class Partition(tuple):
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self]
 
-    @classmethod
-    def from_json(cls, data) -> "Partition":
-        return cls(data)
-
 
 class _Table:
     """The base of the three table kinds, FiniteQuandle, FiniteGroup and
@@ -104,10 +95,11 @@ class _Table:
 
     def _checked(self, check: bool, checker):
         """self; when check is true, checker(self) must find no violation,
-        or InvalidTable names the one it finds."""
+        or InvalidTable's message is the one it finds, "<axiom> fails at
+        <witness>"."""
         bad = checker(self) if check else None
         if bad is not None:
-            raise InvalidTable(bad)
+            raise InvalidTable(str(bad))
         return self
 
     def label(self, a: int) -> str:
@@ -134,9 +126,6 @@ class FiniteQuandle(_Table):
     @classmethod
     def from_table(cls, table, labels=None, check: bool = True, size=None) -> "FiniteQuandle":
         return cls(table, labels, size)._checked(check, check_axioms)
-
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     def to_json(self) -> dict:
         data = {"size": self.size, "table": [list(r) for r in self.table]}

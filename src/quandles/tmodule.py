@@ -495,12 +495,6 @@ class FiniteTModule:
         """Residue of the representative polynomial at t = 1, mod the orbit gcd."""
         return sum(w * v for w, v in zip(self.eval_vector, x)) % self.eval_modulus
 
-    def one_minus_t_image(self) -> list[tuple[int, ...]]:
-        """The set {(1 - t) y : y in M}, deduplicated, in enumeration order."""
-        image = self.translate(self.zero(), self.coordinate_columns(self.one_minus_t_rows()))
-        elems = self.elements()
-        return [elems[i] for i in sorted(set(image))]
-
     def reduce_poly(self, f: LaurentPoly) -> tuple[int, ...]:
         """Image of a Laurent polynomial in the module."""
         if self._base is None:

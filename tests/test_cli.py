@@ -273,6 +273,21 @@ class TestTableLoading:
         assert code == 3 and out == ""
         assert "not bijections" in err
 
+    # every op column is a bijection, so the column check passes; but the
+    # translation by 2 moves the identities of groups 0 and 2 both into
+    # group 1, so the forward orbits of the group indices overlap
+    OVERLAPPING_MCQ = {"groups": [{"mult": [[0]], "identity": 0},
+                                  {"mult": [[0, 1], [1, 0]], "identity": 0},
+                                  {"mult": [[0]], "identity": 0}],
+                       "op": [[0, 0, 1, 0], [1, 1, 0, 1], [2, 2, 3, 2], [3, 3, 2, 3]]}
+
+    @pytest.mark.parametrize("verb", ["components", "maxdecomp"])
+    def test_unchecked_mcq_whose_index_orbits_overlap_is_refused(self, capsys, tmp_path, verb):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.OVERLAPPING_MCQ))
+        assert run(capsys, verb, "--mcq", str(path), "--unchecked") == (
+            3, "", "invalid table: right translations are not bijections\n")
+
 
     @pytest.mark.parametrize("verb", ["components", "maxdecomp", "iso", "assoc"])
     def test_unchecked_refuses_non_bijective_columns_for_every_verb_but_axioms(

@@ -1,12 +1,10 @@
 import random
 
 from quandles import (
-    Decomposition,
     Partition,
     alexander_quandle,
     build,
     connected_components,
-    depth,
     dihedral,
     generated_subquandle,
     is_connected,
@@ -48,9 +46,9 @@ class TestMaximalDecomposition:
         assert dec.depth == 2
 
     def test_depth_examples(self):
-        assert depth(dihedral(3).quandle) == 0
-        assert depth(dihedral(6).quandle) == 1
-        assert depth(dihedral(12).quandle) == 2
+        assert maximal_decomposition(dihedral(3).quandle).depth == 0
+        assert maximal_decomposition(dihedral(6).quandle).depth == 1
+        assert maximal_decomposition(dihedral(12).quandle).depth == 2
 
 
 class TestInvariants:
@@ -122,11 +120,3 @@ class TestInvariants:
                     closure = generated_subquandle(q, set(block) | {x})
                     assert not is_connected(q, closure)
 
-
-class TestJson:
-    def test_round_trip(self, six_cubic):
-        dec = maximal_decomposition(six_cubic.quandle)
-        data = dec.to_json()
-        back = Decomposition.from_json(data)
-        assert back == dec
-        assert back.final == dec.final

@@ -57,7 +57,7 @@ class TestSymmetricGroup:
         a = g.labels.index("(1 2)")
         b = g.labels.index("(1 3)")
         # (1 2) then (1 3): 1 -> 2 -> 2, 2 -> 1 -> 3, 3 -> 3 -> 1
-        assert g.labels[g.mul(a, b)] == "(1 2 3)"
+        assert g.labels[g.mult[a][b]] == "(1 2 3)"
 
 
 class TestBuiltGroups:
@@ -76,7 +76,7 @@ class TestCyclicGroup:
     def test_structure(self):
         g = cyclic_group(4)
         assert g.identity == 0
-        assert g.mul(3, 2) == 1
+        assert g.mult[3][2] == 1
         assert g.inv[1] == 3
         assert check_group(g) is None
 

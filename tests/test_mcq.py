@@ -242,6 +242,16 @@ class TestAxioms:
 
 
 class TestLambdaOrbits:
+    def test_overlapping_index_orbits_are_refused(self):
+        # bijective op columns, but the translation by 2 moves the identities
+        # of groups 0 and 2 both into group 1: no permutation of the indices
+        data = {"groups": [{"mult": [[0]], "identity": 0},
+                           {"mult": [[0, 1], [1, 0]], "identity": 0},
+                           {"mult": [[0]], "identity": 0}],
+                "op": [[0, 0, 1, 0], [1, 1, 0, 1], [2, 2, 3, 2], [3, 3, 2, 3]]}
+        with pytest.raises(InvalidTable):
+            lambda_orbits(MCQ.from_json(data, check=False))
+
     def test_connected_for_odd_dihedral(self):
         x = associated_mcq(dihedral(3).quandle)
         assert lambda_orbits(x).blocks == ((0, 1, 2),)
@@ -330,7 +340,7 @@ class TestGeneratedSubMcq:
             for _ in range(20):
                 sub = generated_sub_mcq(x, rng.sample(range(x.size), rng.randint(1, 3)))
                 assert all(x.ginv(a) in sub for a in sub)
-                assert all(x.star_inv(a, b) in sub for a in sub for b in sub)
+                assert all(x.op[a][x.ginv(b)] in sub for a in sub for b in sub)
 
     def test_closure_is_sub_mcq_and_reachable(self, conj_s3):
         rng = random.Random(32)
@@ -347,7 +357,7 @@ class TestGeneratedSubMcq:
                 while frontier:
                     e = frontier.pop()
                     for a in seeds:
-                        for nxt in (x.star(e, a), x.star_inv(e, a)):
+                        for nxt in (x.op[e][a], x.op[e][x.ginv(a)]):
                             if nxt not in reach:
                                 reach.add(nxt)
                                 frontier.append(nxt)
@@ -395,11 +405,3 @@ class TestMaximalMcqDecomposition:
                 for block in maximal_decomposition(q).final.blocks
             )
             assert maximal_mcq_decomposition(x).carrier_partition == expected
-
-    def test_json_round_trip(self):
-        x = associated_mcq(dihedral(6).quandle)
-        dec = maximal_mcq_decomposition(x)
-        from quandles.mcq import McqDecomposition
-
-        back = McqDecomposition.from_json(dec.to_json())
-        assert back == dec

@@ -91,10 +91,6 @@ class TestPartition:
         assert q.refines(p)
         assert not p.refines(q)
 
-    def test_json_round_trip(self):
-        p = Partition([[0, 2], [1]])
-        assert Partition.from_json(p.to_json()) == p
-
     def test_equal_partitions_hash_alike_and_are_one_key(self):
         p, q = Partition([[1, 3], [0, 2]]), Partition([(2, 0), [], (3, 1)])
         assert hash(p) == hash(q) == hash(((0, 2), (1, 3)))
