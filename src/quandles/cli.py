@@ -194,10 +194,10 @@ def _cmd_components(args):
         part = connected_components(src)
     if isinstance(src, MCQ) or args.assoc:
         header = f"{len(part)} index orbit(s):"
-        text = lambda: _blocks_text(str, part.blocks, header)
+        text = lambda: _blocks_text(str, part, header)
     else:
         header = f"{len(part)} connected component(s), sizes {list(part.sizes())}:"
-        text = lambda: _blocks_text(_labeler(src), part.blocks, header)
+        text = lambda: _blocks_text(_labeler(src), part, header)
     _emit(args, {"blocks": part.to_json()}, text)
     return EXIT_OK
 
@@ -218,10 +218,10 @@ def _cmd_maxdecomp(args):
         dec, label = associated_decomposition(dec, m), lambda: pair_labeler(_labeler(src), m)
     if isinstance(src, MCQ) or args.assoc:  # a tower of the index set, then whole groups
         text = lambda: _tower_text(dec.index_tree, "index block(s)", _blocks_text(
-            label(), dec.carrier_partition.blocks, "carrier blocks:"))
+            label(), dec.carrier_partition, "carrier blocks:"))
     else:
         text = lambda: _tower_text(dec, "block(s)", _blocks_text(
-            label(), dec.final.blocks, "final blocks:"))
+            label(), dec.final, "final blocks:"))
     _emit(args, dec.to_json(), text)
     return EXIT_OK
 

@@ -47,7 +47,7 @@ def iterate_refinement(start: Partition,
     levels = [start]
     while len(levels) < 2 or levels[-1] != levels[-2]:
         levels.append(Partition(
-            tuple(piece) for block in levels[-1].blocks for piece in refine_block(block)
+            tuple(piece) for block in levels[-1] for piece in refine_block(block)
         ))
     return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
 
@@ -55,4 +55,4 @@ def iterate_refinement(start: Partition,
 def maximal_decomposition(q: FiniteQuandle) -> Decomposition:
     """The maximal connected subquandle decomposition, with the full tower."""
     start = Partition([range(q.size)])
-    return iterate_refinement(start, lambda block: connected_components(q, block).blocks)
+    return iterate_refinement(start, lambda block: connected_components(q, block))

@@ -267,5 +267,4 @@ def conj_decomposition(g: FiniteGroup) -> Decomposition:
     """maximal_decomposition(conj_quandle(g)) from the multiplication rows,
     each block refined by conj_components; the components, levels[1], are
     the conjugacy classes."""
-    return iterate_refinement(Partition([range(g.size)]),
-                              lambda block: conj_components(g, block).blocks)
+    return iterate_refinement(Partition([range(g.size)]), lambda block: conj_components(g, block))

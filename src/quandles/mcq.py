@@ -381,9 +381,9 @@ def maximal_mcq_decomposition(x: MCQ) -> McqDecomposition:
     the fixed point.
     """
     start = Partition([range(x.group_count)])
-    tree = iterate_refinement(start, lambda block: lambda_orbits(x, block).blocks)
+    tree = iterate_refinement(start, lambda block: lambda_orbits(x, block))
     carrier = Partition(
-        [i for lam in block for i in x.group_range(lam)] for block in tree.final.blocks
+        [i for lam in block for i in x.group_range(lam)] for block in tree.final
     )
     return McqDecomposition(tree, carrier)
 
@@ -400,5 +400,5 @@ def associated_decomposition(dec: Decomposition, m: int) -> McqDecomposition:
     and refine block by block, so the index tree is dec itself, and each
     final block expands to its pairs x m + g.
     """
-    carrier = Partition([x * m + g for x in block for g in range(m)] for block in dec.final.blocks)
+    carrier = Partition([x * m + g for x in block for g in range(m)] for block in dec.final)
     return McqDecomposition(dec, carrier)

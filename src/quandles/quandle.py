@@ -42,10 +42,6 @@ class Partition(tuple):
     def __new__(cls, blocks: Iterable[Iterable[int]]):
         return super().__new__(cls, sorted(tuple(sorted(set(b))) for b in blocks if b))
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, self)))
 
@@ -123,10 +119,6 @@ class FiniteQuandle(_Table):
         self.size = len(self.table)
         self.labels = tuple(labels) if labels is not None else None
 
-    @classmethod
-    def from_table(cls, table, labels=None, check: bool = True, size=None) -> "FiniteQuandle":
-        return cls(table, labels, size)._checked(check, check_axioms)
-
     def to_json(self) -> dict:
         data = {"size": self.size, "table": [list(r) for r in self.table]}
         if self.labels is not None:
@@ -139,7 +131,8 @@ class FiniteQuandle(_Table):
             raise ValueError("expected an object with a 'table' field")
         if data.get("table") is None:
             raise ValueError("missing 'table'")
-        return cls.from_table(data["table"], data.get("labels"), check, data.get("size"))
+        q = cls(data["table"], data.get("labels"), data.get("size"))
+        return q._checked(check, check_axioms)
 
     def __repr__(self):
         return f"<FiniteQuandle size {self.size}>"
@@ -465,7 +458,7 @@ def _profile(q: FiniteQuandle):
     """Per element: component size, column cycle type, row fixed-point count."""
     comp = connected_components(q)
     size_of = {}
-    for block in comp.blocks:
+    for block in comp:
         for x in block:
             size_of[x] = len(block)
     out = []

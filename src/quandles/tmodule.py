@@ -35,7 +35,7 @@ from .intmat import (
     mat_vec,
     right_kernel,
     snf_transform,
-    solve,
+    solve,  # unused here; perfbench/spans.py binds it
     transpose,
     unimodular_inverse,
 )
@@ -260,19 +260,17 @@ def _stable_kernel_lattice(t_rows, mods):
 
 
 def _invert_action(t_rows, mods):
-    """Matrix of the inverse action; solves t*x == e_k in the module per column."""
+    """Matrix of the inverse action, read off one Smith form U B V = D of
+    B = [T | diag(mods)].  t is onto the module exactly when D = [I | 0];
+    then X = V[:, :r] U solves B X = I, so T^-1 = V[:r, :r] U, row i taken
+    mod mods[i] (as are the rows of V[:r, :r] before the product)."""
     r = len(mods)
     if r == 0:
         return []
-    block = [list(t_rows[i]) + [mods[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    cols = []
-    for k in range(r):
-        rhs = [1 if i == k else 0 for i in range(r)]
-        sol = solve(block, rhs)
-        if sol is None:
-            raise ArithmeticError("t does not act invertibly after saturation")
-        cols.append(sol[:r])
-    inv = [[cols[j][i] % mods[i] for j in range(r)] for i in range(r)]
+    d, u, v = snf_transform([list(row) + diag for row, diag in zip(t_rows, _diag_rows(mods))])
+    if any(d[i][i] != 1 for i in range(r)):
+        raise ArithmeticError("t does not act invertibly after saturation")
+    inv = _row_reduce(mat_mul(_row_reduce([row[:r] for row in v[:r]], mods), u), mods)
     for composed in (mat_mul(t_rows, inv), mat_mul(inv, t_rows)):
         for i in range(r):
             for j in range(r):

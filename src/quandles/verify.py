@@ -138,7 +138,7 @@ def _six_cubic_rows() -> list[CheckRow]:
                      orbit_count(module.presentation.generators())))
     rows.append(_row(g, "component sizes", "six-cubic-component-sizes", comps.sizes()))
     by_class = {}
-    for block in comps.blocks:
+    for block in comps:
         cls = module.eval_one_class(module.elements()[block[0]])
         by_class[cls] = frozenset(aq.quandle.label(i) for i in block)
     rows.append(_row(g, "component label sets by residue class",
@@ -148,7 +148,7 @@ def _six_cubic_rows() -> list[CheckRow]:
     rows.append(_row(g, "maximal block sizes", "six-cubic-block-sizes", dec.final.sizes()))
     rows.append(_row(g, "maximal block label sets", "six-cubic-block-labels",
                      frozenset(frozenset(aq.quandle.label(i) for i in block)
-                               for block in dec.final.blocks)))
+                               for block in dec.final)))
     rows.append(_row(g, "refinement depth", "six-cubic-depth", dec.depth))
     rows.append(_row(g, "component of 0 equals the image of 1-t", True,
                      sorted(module.elements()[i] for i in comps.block_of(0))
@@ -184,7 +184,7 @@ def _dihedral_sweep_rows() -> list[CheckRow]:
         ref = dihedral(k).quandle
         ok = dec.depth == l and len(dec.final) == 2 ** l and all(
             find_isomorphism(subquandle(aq.quandle, block), ref) is not None
-            for block in dec.final.blocks
+            for block in dec.final
         )
         if not ok:
             bad.append(m)
@@ -213,7 +213,7 @@ def _linear_grid_rows() -> list[CheckRow]:
                 and dec.depth == formula.depth
                 and all(
                     find_isomorphism(subquandle(aq.quandle, block), ref) is not None
-                    for block in dec.final.blocks
+                    for block in dec.final
                 )
                 and tower.depth == formula.depth
                 and len(tower.final) == formula.block_count
@@ -266,7 +266,7 @@ def _component_ideal_rows() -> list[CheckRow]:
     comps = connected_components(aq.quandle)
     rows.append(_row(g, "every component is a copy of the augmented quotient", True,
                      all(find_isomorphism(subquandle(aq.quandle, block), piece) is not None
-                         for block in comps.blocks), literal=True))
+                         for block in comps), literal=True))
     tet = alexander_quandle(build(parse_ideal("2; t^2+t+1")))
     rows.append(_row(g, "the quotient by (2; t^2+t+1) is connected",
                      "tetrahedral-connected", is_connected(tet.quandle)))
@@ -644,7 +644,7 @@ def suite_constructor_axioms(rng, cases=PROPERTY_CASES) -> int:
             failures += 1
             continue
         dec = maximal_decomposition(q)
-        block = dec.final.blocks[rng.randrange(len(dec.final))]
+        block = dec.final[rng.randrange(len(dec.final))]
         if check_axioms(subquandle(q, block)) is not None:
             failures += 1
     return failures
@@ -691,7 +691,7 @@ def suite_union_connectivity(rng, cases=PROPERTY_CASES) -> int:
     failures = 0
     for _ in range(cases):
         q = _random_quandle(rng, max_size=12)
-        pool = [set(b) for b in maximal_decomposition(q).final.blocks]
+        pool = [set(b) for b in maximal_decomposition(q).final]
         pool += [{x} for x in range(q.size)]
         closure = generated_subquandle(q, rng.sample(range(q.size), min(2, q.size)))
         if is_connected(q, closure):
@@ -710,7 +710,7 @@ def suite_final_blocks_isomorphic(rng, cases=PROPERTY_CASES) -> int:
     failures = 0
     for _ in range(cases):
         q = alexander_quandle(_random_module(rng, max_order=36)).quandle
-        blocks = maximal_decomposition(q).final.blocks
+        blocks = maximal_decomposition(q).final
         first = subquandle(q, blocks[0])
         for block in blocks[1:]:
             if find_isomorphism(subquandle(q, block), first) is None:
@@ -744,7 +744,7 @@ def suite_refinement_chain(rng, cases=PROPERTY_CASES) -> int:
         ok = ok and all(
             len(dec.levels[k + 1]) > len(dec.levels[k]) for k in range(dec.depth)
         )
-        ok = ok and all(is_connected(q, block) for block in dec.final.blocks)
+        ok = ok and all(is_connected(q, block) for block in dec.final)
         if not ok:
             failures += 1
     return failures
@@ -992,7 +992,7 @@ def _mcq_rows(seed: int) -> list[CheckRow]:
         quandle_final = maximal_decomposition(q).final
         expected_carrier = Partition(
             [i * m + gidx for i in block for gidx in range(m)]
-            for block in quandle_final.blocks
+            for block in quandle_final
         )
         if maximal_mcq_decomposition(x).carrier_partition != expected_carrier:
             bad_carrier.append(name)

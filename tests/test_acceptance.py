@@ -73,12 +73,12 @@ def test_criterion_1_order36_quotient(six_cubic):
     assert module.order == 36
     comps = connected_components(q)
     assert comps.sizes() == (12, 12, 12)
-    for block in comps.blocks:
+    for block in comps:
         cls = module.eval_one_class(module.elements()[block[0]])
         assert {q.label(i) for i in block} == ORBIT_LABELS[cls]
     dec = maximal_decomposition(q)
     assert len(dec.final) == 9
-    assert {frozenset(q.label(i) for i in block) for block in dec.final.blocks} \
+    assert {frozenset(q.label(i) for i in block) for block in dec.final} \
         == MAXIMAL_BLOCKS
     assert dec.depth == 2
     print("ACCEPTANCE 1 (order-36 quotient: components, blocks, depth): PASS")
@@ -105,7 +105,7 @@ def test_criterion_3_dihedral_sweep():
         assert len(dec.final) == 2 ** l, m
         assert dec.depth == l, m
         ref = dihedral(k).quandle
-        for block in dec.final.blocks:
+        for block in dec.final:
             assert find_isomorphism(subquandle(aq.quandle, block), ref) is not None, m
     print("ACCEPTANCE 3 (dihedral sweep m = 1..64): PASS")
 
@@ -120,7 +120,7 @@ def test_criterion_4_linear_grid():
             assert dec.depth == formula.depth, (n0, a)
             ref = alexander_quandle(
                 build(linear_presentation(formula.block_modulus, a))).quandle
-            for block in dec.final.blocks:
+            for block in dec.final:
                 assert find_isomorphism(
                     subquandle(aq.quandle, block), ref) is not None, (n0, a)
     print("ACCEPTANCE 4 (gcd-chain grid n0 = 1..40, a = -10..10): PASS")
@@ -146,7 +146,7 @@ def test_criterion_6_component_ideal(six_cubic):
     assert module.order == 12
     assert ideals_equal(derived, parse_ideal("6; 2t+4; t^2+t+1"))
     piece = alexander_quandle(module).quandle
-    for block in connected_components(six_cubic.quandle).blocks:
+    for block in connected_components(six_cubic.quandle):
         assert find_isomorphism(subquandle(six_cubic.quandle, block), piece) is not None
     print("ACCEPTANCE 6 (component ideal of the order-36 quotient): PASS")
 
@@ -171,7 +171,7 @@ def test_criterion_8_mcq_layer(tetrahedral, conj_s3):
         assert lambda_orbits(x) == connected_components(q)
         expected_carrier = Partition(
             [i * m + g for i in block for g in range(m)]
-            for block in maximal_decomposition(q).final.blocks
+            for block in maximal_decomposition(q).final
         )
         assert maximal_mcq_decomposition(x).carrier_partition == expected_carrier
         for _ in range(500):

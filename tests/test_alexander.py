@@ -185,7 +185,7 @@ class TestGcdChain:
             ref = alexander_quandle(
                 build(IdealPresentation(formula.block_modulus, (LaurentPoly({0: a, 1: 1}),)))
             ).quandle
-            for block in dec.final.blocks:
+            for block in dec.final:
                 assert find_isomorphism(subquandle(aq.quandle, block), ref) is not None
 
 
@@ -200,7 +200,7 @@ class TestDihedral:
 
     def test_six_components(self):
         q = dihedral(6).quandle
-        assert connected_components(q).blocks == ((0, 2, 4), (1, 3, 5))
+        assert connected_components(q) == ((0, 2, 4), (1, 3, 5))
 
     def test_table_is_reflection(self):
         for m in (2, 5, 9):
@@ -215,7 +215,7 @@ class TestCrossChecks:
         m = six_cubic.module
         elems = m.elements()
         comps = connected_components(six_cubic.quandle)
-        for block in comps.blocks:
+        for block in comps:
             classes = {m.eval_one_class(elems[i]) for i in block}
             assert len(classes) == 1
 
@@ -229,12 +229,12 @@ class TestCrossChecks:
         for m in (4, 6, 10, 14, 24):
             aq = dihedral(m)
             ref = dihedral(m // 2).quandle
-            for block in connected_components(aq.quandle).blocks:
+            for block in connected_components(aq.quandle):
                 assert find_isomorphism(subquandle(aq.quandle, block), ref) is not None
 
     def test_final_blocks_pairwise_isomorphic(self, six_cubic):
         dec = maximal_decomposition(six_cubic.quandle)
-        pieces = [subquandle(six_cubic.quandle, b) for b in dec.final.blocks]
+        pieces = [subquandle(six_cubic.quandle, b) for b in dec.final]
         for other in pieces[1:]:
             assert find_isomorphism(pieces[0], other) is not None
 
@@ -260,7 +260,7 @@ class TestCrossChecks:
             except UnsupportedPresentation:
                 continue
             aq = alexander_quandle(module)
-            for block in connected_components(aq.quandle).blocks:
+            for block in connected_components(aq.quandle):
                 assert find_isomorphism(subquandle(aq.quandle, block),
                                         piece) is not None, pres.descriptor()
             checked += 1

@@ -266,12 +266,13 @@ class TestTableLoading:
         assert code == 0
 
     def test_unchecked_components_refuse_non_bijective_columns(self, capsys, tmp_path):
-        # 0 * 0 == 1 * 0: the forward orbits of 0 and 1 overlap
+        # 0 * 0 == 1 * 0: the column of 0 is no bijection, so the --unchecked
+        # column check of the loaded table refuses it before orbits runs
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"size": 2, "table": [[0, 0], [0, 1]]}))
-        code, out, err = run(capsys, "components", "--table", str(path), "--unchecked")
-        assert code == 3 and out == ""
-        assert "not bijections" in err
+        assert run(capsys, "components", "--table", str(path), "--unchecked") == (
+            3, "", "invalid table: right translations are not bijections "
+                   "(right-invertibility fails at (0, 1, 0))\n")
 
     # every op column is a bijection, so the column check passes; but the
     # translation by 2 moves the identities of groups 0 and 2 both into
@@ -796,7 +797,7 @@ class TestAssociatedSources:
         assert data["depth"] == dec.depth
         assert data["levels"] == [level.to_json() for level in dec.levels]
         expected = sorted(sorted(x * 60 + g for x in block for g in range(60))
-                          for block in dec.final.blocks)
+                          for block in dec.final)
         assert data["carrier_blocks"] == expected
         assert sum(map(len, expected)) == 43200
 

@@ -69,7 +69,7 @@ class TestInvariants:
     def test_final_blocks_connected(self):
         for q in self.quandle_pool():
             dec = maximal_decomposition(q)
-            for block in dec.final.blocks:
+            for block in dec.final:
                 assert is_connected(q, block)
 
     def test_block_count_strictly_grows_before_fixed_point(self):
@@ -84,13 +84,13 @@ class TestInvariants:
         dec = maximal_decomposition(conj_s4)
         for level, reference in zip(dec.levels, dec.levels[1:]):
             for _ in range(5):
-                blocks = [list(b) for b in level.blocks]
+                blocks = [list(b) for b in level]
                 rng.shuffle(blocks)
                 for b in blocks:
                     rng.shuffle(b)
                 pieces = []
                 for b in blocks:
-                    pieces.extend(connected_components(conj_s4, b).blocks)
+                    pieces.extend(connected_components(conj_s4, b))
                 assert Partition(pieces) == reference
 
     def test_connected_subquandles_sit_inside_final_blocks(self, conj_s4):
@@ -114,7 +114,7 @@ class TestInvariants:
         for q in pool:
             dec = maximal_decomposition(q)
             level1 = dec.levels[1]
-            for block in dec.final.blocks:
+            for block in dec.final:
                 component = set(level1.block_of(block[0]))
                 for x in sorted(component - set(block)):
                     closure = generated_subquandle(q, set(block) | {x})

@@ -107,7 +107,7 @@ class TestConjugacyClasses:
     def test_s3_classes(self):
         g = symmetric_group(3)
         classes = conjugacy_classes(g)
-        by_labels = {frozenset(g.labels[i] for i in block) for block in classes.blocks}
+        by_labels = {frozenset(g.labels[i] for i in block) for block in classes}
         assert by_labels == {
             frozenset({"e"}),
             frozenset({"(1 2)", "(1 3)", "(2 3)"}),

@@ -254,15 +254,15 @@ class TestLambdaOrbits:
 
     def test_connected_for_odd_dihedral(self):
         x = associated_mcq(dihedral(3).quandle)
-        assert lambda_orbits(x).blocks == ((0, 1, 2),)
+        assert lambda_orbits(x) == ((0, 1, 2),)
 
     def test_even_dihedral_splits(self):
         x = associated_mcq(dihedral(6).quandle)
-        assert lambda_orbits(x).blocks == ((0, 2, 4), (1, 3, 5))
+        assert lambda_orbits(x) == ((0, 2, 4), (1, 3, 5))
 
     def test_single_group(self):
         x = conjugation_mcq(symmetric_group(3))
-        assert lambda_orbits(x).blocks == ((0,),)
+        assert lambda_orbits(x) == ((0,),)
 
     def test_matches_quandle_components(self, conj_s3, tetrahedral):
         for q in [dihedral(m).quandle for m in range(3, 13)] + [
@@ -274,7 +274,7 @@ class TestLambdaOrbits:
         x = associated_mcq(dihedral(6).quandle)
         with pytest.raises(NotASubquandle):
             lambda_orbits(x, [0, 1])
-        assert lambda_orbits(x, [0, 2, 4]).blocks == ((0, 2, 4),)
+        assert lambda_orbits(x, [0, 2, 4]) == ((0, 2, 4),)
 
 
 class TestSubMcq:
@@ -376,9 +376,9 @@ class TestMaximalMcqDecomposition:
         x = associated_mcq(dihedral(6).quandle)
         dec = maximal_mcq_decomposition(x)
         assert dec.index_tree.depth == 1
-        assert dec.index_tree.final.blocks == ((0, 2, 4), (1, 3, 5))
+        assert dec.index_tree.final == ((0, 2, 4), (1, 3, 5))
         ref = associated_mcq(dihedral(3).quandle)
-        for block in dec.index_tree.final.blocks:
+        for block in dec.index_tree.final:
             # order-preserving reindex x -> x // 2 transports the structure
             lams = sorted(block)
             carrier = [i for lam in lams for i in x.group_range(lam)]
@@ -393,7 +393,7 @@ class TestMaximalMcqDecomposition:
         dec = maximal_mcq_decomposition(x)
         assert dec.index_tree.depth == 2
         assert len(dec.index_tree.final) == 4
-        assert all(len(b) == 3 for b in dec.index_tree.final.blocks)
+        assert all(len(b) == 3 for b in dec.index_tree.final)
 
     def test_carrier_partition_is_quandle_partition_times_zm(self, conj_s3, tetrahedral):
         for q in [dihedral(m).quandle for m in range(3, 13)] + [
@@ -402,6 +402,6 @@ class TestMaximalMcqDecomposition:
             x = associated_mcq(q)
             expected = Partition(
                 [i * m + g for i in block for g in range(m)]
-                for block in maximal_decomposition(q).final.blocks
+                for block in maximal_decomposition(q).final
             )
             assert maximal_mcq_decomposition(x).carrier_partition == expected

@@ -7,6 +7,7 @@ from quandles.alexander import alexander_components
 from quandles.laurent import LaurentPoly, ParseError, eval_one, parse_poly
 from quandles.tmodule import (
     IdealPresentation,
+    _invert_action,
     _reduce_mod_monic,
     UnsupportedPresentation,
     build,
@@ -14,6 +15,7 @@ from quandles.tmodule import (
     parse_ideal,
     presentation_from_generators,
 )
+from quandles.verify import _random_module, random_index_module
 
 
 def saturated_order_oracle(n, t_value):
@@ -161,6 +163,40 @@ class TestOperations:
         # t^3 - 1 = (t - 1)(t^2 + t + 1) vanishes, and t itself is no identity
         assert m.t_order == 3
         assert all(m.t_act(m.t_act(m.t_act(x))) == x for x in m.elements())
+
+
+def inverse_by_search(m):
+    """T^-1 found without intmat: column j is the element x with
+    t_act(x) == e_j, found among all elements."""
+    preimage = {m.t_act(x): x for x in m.elements()}
+    basis = [tuple(int(i == j) % d for i, d in enumerate(m.invariant_factors))
+             for j in range(m.rank)]
+    cols = [preimage[e] for e in basis]
+    return tuple(tuple(col[i] for col in cols) for i in range(m.rank))
+
+
+class TestInverseAction:
+    # flipped, flipped in rank 2, and saturated (t = -2 on Z_6 kills 3)
+    @pytest.mark.parametrize("text, flipped, factors", [
+        ("6; 2t+1", True, (3,)), ("12; 3t^2+2t+1", True, (4, 12)), ("6; t+2", False, (3,)),
+    ])
+    def test_flipped_and_saturated_match_the_search(self, text, flipped, factors):
+        m = build(parse_ideal(text))
+        assert (m._flipped, m.invariant_factors) == (flipped, factors)
+        assert m.t_inverse_matrix == inverse_by_search(m)
+
+    def test_seeded_modules_match_the_search(self):
+        rng = random.Random(29)
+        modules = [draw(rng, max_order=200) for _ in range(40)
+                   for draw in (random_index_module, _random_module)]
+        assert {m.rank for m in modules} >= {1, 2, 3}
+        for m in modules:
+            assert m.t_inverse_matrix == inverse_by_search(m), m.descriptor()
+
+    def test_a_non_invertible_action_is_refused(self):
+        # t = 2 on Z_4 is not onto: the Smith form of [2 | 4] is [2 | 0]
+        with pytest.raises(ArithmeticError, match="does not act invertibly"):
+            _invert_action([[2]], [4])
 
 
 def image_of_one_minus_t(m):
