@@ -1,9 +1,10 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels, solving.
 
 Everything runs on plain Python integers, so intermediate coefficient growth
-is harmless.  Matrices are lists of row lists.  The matrices handled here are
-tiny (module ranks of small quotient rings), so the classic cubic algorithms
-are used throughout.
+is harmless.  Matrices are lists of row lists, sized by module ranks, which
+reach the degree of the monic generator (150 and more in a high-degree build).
+The classic cubic algorithms are used throughout, so their cost grows with
+the cube of that size.
 """
 
 from __future__ import annotations

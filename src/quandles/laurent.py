@@ -9,6 +9,7 @@ changes no algebraic property used downstream.
 from __future__ import annotations
 
 import math
+import re
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
@@ -58,14 +59,6 @@ class LaurentPoly:
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
         return max(self._coeffs)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
-    def substitute_t_inverse(self) -> "LaurentPoly":
-        """The image under t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -159,82 +152,34 @@ def format_poly(f: LaurentPoly) -> str:
     return out
 
 
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(\*?)\s*(?:(t)\s*(?:\^\s*([+-]?)(\d*))?)?")
+
+
 def parse_poly(text: str) -> LaurentPoly:
     """Parse a term sum '[+|-] [coeff *] t[^exp]', e.g. 't^2+t+1', '2*t^-1 - 3'.
 
     Whitespace insensitive; the '*' between coefficient and t is optional; an
-    exponent may carry a sign.  Raises ParseError with the failing position.
+    exponent may carry a sign.  Each match of _TERM reads one term, its
+    groups empty where the text lacks that part.  Raises ParseError with the
+    failing position.
     """
-    s = text
-    n = len(s)
-    i = 0
-
-    def skip():
-        nonlocal i
-        while i < n and s[i].isspace():
-            i += 1
-
-    def digits(what: str) -> int:
-        nonlocal i
-        start = i
-        while i < n and s[i].isdigit():
-            i += 1
-        if start == i:
-            raise ParseError(f"expected {what}", i)
-        return int(s[start:i])
-
-    def tpart() -> int:
-        nonlocal i
-        i += 1  # the 't'
-        skip()
-        if i < n and s[i] == "^":
-            i += 1
-            skip()
-            sgn = 1
-            if i < n and s[i] in "+-":
-                sgn = -1 if s[i] == "-" else 1
-                i += 1
-            return sgn * digits("an integer exponent")
-        return 1
-
+    if not text.strip():
+        raise ParseError("expected a term", len(text))
     coeffs: dict[int, int] = {}
-    skip()
-    if i == n:
-        raise ParseError("expected a term", i)
-    first = True
-    while True:
-        skip()
-        if i == n:
-            break
-        sign = 1
-        if s[i] == "+":
-            i += 1
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-'", i)
-        first = False
-        skip()
-        if i < n and s[i].isdigit():
-            coeff = digits("a coefficient")
-            skip()
-            if i < n and s[i] == "*":
-                i += 1
-                skip()
-                if i == n or s[i] != "t":
-                    raise ParseError("expected 't'", i)
-                exp = tpart()
-            elif i < n and s[i] == "t":
-                exp = tpart()
-            else:
-                exp = 0
-        elif i < n and s[i] == "t":
-            coeff = 1
-            exp = tpart()
-        else:
-            raise ParseError("expected a coefficient or 't'", i)
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
+    pos = 0
+    while (m := _TERM.match(text, pos)).start(1) < len(text):
+        sign, coeff, star, t, esign, exp = m.groups()
+        if pos and not sign:
+            raise ParseError("expected '+' or '-'", m.start(1))
+        if not coeff and (star or not t):
+            raise ParseError("expected a coefficient or 't'", m.start(2))
+        if star and not t:
+            raise ParseError("expected 't'", m.end())
+        if exp == "":
+            raise ParseError("expected an integer exponent", m.start(6))
+        e = int(esign + exp) if exp else (1 if t else 0)
+        coeffs[e] = coeffs.get(e, 0) + int(sign + (coeff or "1"))
+        pos = m.end()
     return LaurentPoly(coeffs)
 
 

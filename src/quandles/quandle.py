@@ -220,12 +220,11 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
 
 
 def _holds(q: FiniteQuandle) -> bool:
-    if any(q.table[a][a] != a for a in range(q.size)) or check_columns(q) is not None:
-        return False
-    t = q.table
+    t, n = q.table, q.size
     cols = [list(col) for col in zip(*t)]
-    return _distributes(cols, action_generators(range(q.size), (), lambda x, p: t[x][p]),
-                        range(q.size))
+    if any(t[a][a] != a for a in range(n)) or any(len(set(col)) != n for col in cols):
+        return False
+    return _distributes(cols, action_generators(range(n), (), lambda x, p: t[x][p]), range(n))
 
 
 def _distributes(cols: list[list[int]], zs: Iterable[int], ys: Sequence[int]) -> bool:

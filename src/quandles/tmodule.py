@@ -98,7 +98,7 @@ def parse_ideal(text: str) -> IdealPresentation:
     """Parse 'n; p1; p2; ...' into a presentation."""
     first, sep, rest = text.partition(";")
     head = first.strip()
-    if not head or not head.lstrip("+-").isdigit():
+    if not head or not head.lstrip("+-").isdecimal():
         raise ParseError("expected an integer modulus", 0)
     n = int(head)
     if n < 1:
@@ -213,12 +213,12 @@ def _diag_rows(mods):
     return [[mods[i] if j == i else 0 for j in range(len(mods))] for i in range(len(mods))]
 
 
-def _quotient_action(dim, lattice_gens, t_rows, eval_row, pre):
+def _quotient_action(dim, lattice_gens, t_rows, eval_row, one):
     """Quotient Z^dim by the lattice spanned by lattice_gens, carrying the data.
 
-    Returns (mods, t_rows, eval_row, pre) in the new coordinates with all
-    trivial (modulus 1) coordinates dropped.  `pre` accumulates the map from
-    the original polynomial basis into the current coordinates.
+    Returns (mods, t_rows, eval_row, one) in the new coordinates with all
+    trivial (modulus 1) coordinates dropped; `one` is the image of the
+    polynomial 1.
     """
     a = [[gen[i] for gen in lattice_gens] for i in range(dim)]
     d, u, _ = snf_transform(a)
@@ -228,13 +228,12 @@ def _quotient_action(dim, lattice_gens, t_rows, eval_row, pre):
     uinv = unimodular_inverse(u)
     t_new = mat_mul(mat_mul(u, t_rows), uinv)
     w_new = mat_vec(transpose(uinv), list(eval_row))
-    pre_new = mat_mul(u, pre)
+    one_new = mat_vec(u, one)
     keep = [i for i in range(dim) if s[i] != 1]
     mods = [s[i] for i in keep]
     t_new = [[t_new[i][j] for j in keep] for i in keep]
     w_new = [w_new[j] for j in keep]
-    pre_new = [pre_new[i] for i in keep]
-    return mods, _row_reduce(t_new, mods), w_new, pre_new
+    return mods, _row_reduce(t_new, mods), w_new, [one_new[i] % s[i] for i in keep]
 
 
 def _stable_kernel_lattice(t_rows, mods):
@@ -288,7 +287,7 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
     a = gcd_vec([pres.modulus] + [eval_one(f) for f in pres.polys])
     n, polys = _fold_constants(pres.modulus, pres.polys)
     if n == 1:
-        return FiniteTModule(pres, a, (), (), (), (), (), False, None, True)
+        return FiniteTModule(pres, a, (), (), (), (), (), False, True)
     flipped = False
     pick = _monic_pick(polys, n)
     if pick is None and any(math.gcd(d[0], n) == 1 for d in polys):
@@ -306,6 +305,7 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
     unit = pow(g[deg] % n, -1, n)
     gvec = [(g.get(e, 0) * unit) % n for e in range(deg)]
     comp = _companion(gvec, n)
+    one = [1] + [0] * (deg - 1)
 
     changed = False
     if rest:
@@ -316,18 +316,17 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
                 gens.append(vec)
                 vec = [x % n for x in mat_vec(comp, vec)]
         gens += [[n if i == j else 0 for i in range(deg)] for j in range(deg)]
-        mods, t_rows, w, pre = _quotient_action(deg, gens, comp, [1] * deg, identity(deg))
+        mods, t_rows, w, one = _quotient_action(deg, gens, comp, [1] * deg, one)
         changed = True
     else:
         mods = [n] * deg
         t_rows = _row_reduce([list(r) for r in comp], mods)
         w = [1] * deg
-        pre = identity(deg)
 
     kernel = _stable_kernel_lattice(t_rows, mods)
     if kernel != hnf(_diag_rows(mods)):
         changed = True
-        mods, t_rows, w, pre = _quotient_action(len(mods), kernel, t_rows, w, pre)
+        mods, t_rows, w, one = _quotient_action(len(mods), kernel, t_rows, w, one)
 
     tinv_rows = _invert_action(t_rows, mods)
     if flipped:
@@ -339,9 +338,8 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
         tuple(tuple(r) for r in t_rows),
         tuple(tuple(r) for r in tinv_rows),
         tuple(x % a for x in w),
-        tuple(tuple(r) for r in pre),
+        tuple(one),
         flipped,
-        (n, deg, tuple(gvec)),
         not flipped and not changed,
     )
 
@@ -361,17 +359,15 @@ class FiniteTModule:
     """
 
     def __init__(self, presentation, eval_modulus, invariant_factors, t_rows,
-                 tinv_rows, eval_vector, transform, flipped, base,
-                 labels_are_polynomials):
+                 tinv_rows, eval_vector, one, flipped, labels_are_polynomials):
         self.presentation = presentation
         self.eval_modulus = eval_modulus
         self.invariant_factors = tuple(invariant_factors)
         self.t_matrix = tuple(tuple(r) for r in t_rows)
         self.t_inverse_matrix = tuple(tuple(r) for r in tinv_rows)
         self.eval_vector = tuple(eval_vector)
-        self._transform = tuple(tuple(r) for r in transform)
+        self._one = tuple(one)  # the image of the polynomial 1
         self._flipped = flipped
-        self._base = base  # (n, deg, gvec) of the companion stage; None if trivial
         self.labels_are_polynomials = labels_are_polynomials
         self.order = math.prod(self.invariant_factors)
         self._element_list = None
@@ -494,27 +490,21 @@ class FiniteTModule:
         return sum(w * v for w, v in zip(self.eval_vector, x)) % self.eval_modulus
 
     def reduce_poly(self, f: LaurentPoly) -> tuple[int, ...]:
-        """Image of a Laurent polynomial in the module."""
-        if self._base is None:
-            return ()
-        if self._flipped:
-            f = f.substitute_t_inverse()
-        if not f:
-            return self.zero()
-        shift = min(0, f.min_exp)
-        if shift:
-            f = f.shifted(-shift)
-        n, deg, gvec = self._base
-        vec = _reduce_mod_monic(dict(f.terms()), list(gvec), n)
-        cur = tuple(
-            sum(self._transform[i][j] * vec[j] for j in range(deg)) % self.invariant_factors[i]
-            for i in range(self.rank)
-        )
-        # undo the t^k clearing of negative exponents with the concrete inverse
-        concrete_inv = self.t_matrix if self._flipped else self.t_inverse_matrix
-        for _ in range(-shift):
-            cur = self._apply(concrete_inv, cur)
-        return cur
+        """Image of a Laurent polynomial in the module: the sum of c t^e 1
+        over its terms, t^e by square-and-multiply on the matrix of t (or of
+        t^-1 when e < 0), so an exponent costs its bit length."""
+        out = self.zero()
+        for e, c in f.terms():
+            vec, base = self._one, self.t_matrix if e >= 0 else self.t_inverse_matrix
+            e = abs(e)
+            while e:
+                if e & 1:
+                    vec = self._apply(base, vec)
+                e >>= 1
+                if e:
+                    base = _row_reduce(mat_mul(base, base), self.invariant_factors)
+            out = self.add(out, tuple(c * v for v in vec))
+        return out
 
     def label(self, x) -> str:
         """Polynomial label when the coordinates still mean 1, t, t^2, ...;

@@ -57,6 +57,14 @@ class TestParsingCommands:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("ideal,err", [
+        ("\u00b2; t+1", "parse error: expected an integer modulus (position 0)\n"),
+        ("5; t^\u00b2+1", "parse error: expected an integer exponent (position 5)\n"),
+    ], ids=["modulus", "exponent"])
+    def test_superscript_digit_is_a_parse_error(self, capsys, ideal, err):
+        # str.isdigit accepts a superscript two, which int() refuses
+        assert run(capsys, "build", ideal) == (2, "", err)
+
     def test_bad_modulus_exit_code(self, capsys):
         assert run(capsys, "build", "0; t+1")[0] == 2
 

@@ -4,8 +4,8 @@ Random verbs, sources and flags meet malformed JSON files and polynomial
 text.  No exception may leave `main` but argparse's own exit, every exit
 code must be a documented one, and only `verify` may exit 1.  Inputs stay
 small (moduli at most 64, degrees at most 8, tabulated orders at most 64)
-so that each call is quick: `build` costs seconds from about degree 64, and
-a table grows with the square of the order.
+so that each call is quick: a table grows with the square of the order, and
+`build`, about 0.1 s at degree 64, grows with a power of the degree.
 """
 
 import contextlib

@@ -314,6 +314,19 @@ class TestReducePoly:
         assert m.reduce_poly(parse_poly("2t+1")) == m.zero()
         assert m.reduce_poly(LaurentPoly.const(5)) == m.zero()
 
+    @pytest.mark.parametrize("text,flipped", [
+        ("10; 2t+1", True),
+        ("12; 3t^2+2t+1", True),
+        ("7; t^2+t+1", False),
+        ("9; t^2+3; 3t+3", False),
+    ])
+    def test_huge_exponents_reduce_through_the_order_of_t(self, text, flipped):
+        # t^N 1 == t^(N mod t_order) 1, with N far past any per-unit walk
+        m = build(parse_ideal(text))
+        assert m._flipped == flipped
+        for big in (10 ** 18, -10 ** 18, 3 * 10 ** 20 + 2):
+            assert m.reduce_poly(LaurentPoly.t(big)) == m.reduce_poly(LaurentPoly.t(big % m.t_order))
+
 
 def linear_reduction(coeffs, gvec, n):
     """Reference reduction mod the monic g over Z_n: clear the top exponent
@@ -394,7 +407,7 @@ class TestQuotientStructure:
                 f = LaurentPoly({e: rng.randint(-9, 9)
                                  for e in range(rng.randint(-2, 0), rng.randint(1, 4))})
                 assert m.reduce_poly(f * LaurentPoly.t()) == m.t_act(m.reduce_poly(f))
-                assert m.reduce_poly(f.shifted(-1)) == m.t_inv_act(m.reduce_poly(f))
+                assert m.reduce_poly(f * LaurentPoly.t(-1)) == m.t_inv_act(m.reduce_poly(f))
 
     def test_reduction_additive(self):
         rng = random.Random(42)
@@ -540,6 +553,12 @@ class TestIdealEquality:
         p = parse_ideal("6; t^2+t+1")
         assert ideals_equal(p, p)
 
+    def test_redundant_generator_of_huge_degree_on_a_flipped_module(self):
+        # 2t^(k+1) + t^k == t^k (2t + 1), so the ideal is unchanged
+        k = 10 ** 12
+        assert ideals_equal(parse_ideal("10; 2t+1"),
+                            parse_ideal(f"10; 2t+1; 2t^{k + 1}+t^{k}+2t+1"))
+
 
 class TestParseIdeal:
     def test_basic(self):
@@ -575,6 +594,11 @@ class TestParseIdeal:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_ideal(text)
+
+    def test_superscript_modulus_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal("\u00b2; t+1")
+        assert (err.value.message, err.value.position) == ("expected an integer modulus", 0)
 
     def test_error_position_spans_segments(self):
         with pytest.raises(ParseError) as err:
