@@ -243,28 +243,35 @@ def conjugacy_classes(g: FiniteGroup) -> Partition:
 def conj_components(g: FiniteGroup, ambient: Iterable[int] | None = None) -> Partition:
     """Orbits of the ambient set (by default the group) under conjugation
     x -> y^-1 x y by its own members y: connected_components of
-    conj_quandle(g) on that set, read from the multiplication rows.
+    conj_quandle(g) on that set, read from the rows of an associative table.
 
-    Conjugation by the picks Y of action_generators(ambient, {e}, right
-    multiplication) gives the same orbits, with |Y| moves per element
-    instead of |ambient|.  The span of Y, the identity and the products
-    y1 y2 ... yk of picks, is the subgroup <Y>, since y^-1 is a power of y
-    in a finite group; it holds the ambient set C, and Y lies in C, so
-    <Y> = <C>.  Conjugation is an action, S_ab = S_b S_a for
-    S_c: x -> c^-1 x c, and S_c^-1 is a power of S_c, so the maps
-    S_y for y in Y and the maps S_c for c in C generate the same group of
-    permutations, {S_h : h in <C>}.  An orbit that leaves the ambient set
-    raises NotASubquandle, as in connected_components.
+    Conjugation by picks Y gives the same orbits, |Y| moves per element.
+    With S_c: x -> c^-1 x c, S_ab = S_b S_a and S_c^-1 is a power of S_c.
+    On the whole group, Y is action_generators(group, {e}, right
+    multiplication): its span is <Y>, as y^-1 is a power of y, so <Y> is
+    the group and the S_y generate every S_h.  On an ambient set B, Y is
+    action_generators(B, {}, conjugation), O(|B| |Y|) products: each
+    member of its span is a pick or p^-1 z p for an earlier member z and a
+    pick p, and S_(p^-1 z p) = S_p S_z S_p^-1, so the S_y generate the S_c
+    of the span, which covers B.  A move outside B raises NotASubquandle,
+    as in connected_components; when no move by a pick leaves B, the S_p
+    permute B, the span walk stays in B and every S_c, c in B, lies in
+    their group: B is closed.
     """
     m, inv = g.mult, g.inv
-    members = range(g.size) if ambient is None else sorted(set(ambient))
-    picks = action_generators(members, (g.identity,), lambda x, p: m[x][p])
+    if ambient is None:
+        members = range(g.size)
+        picks = action_generators(members, (g.identity,), lambda x, p: m[x][p])
+    else:
+        members = sorted(set(ambient))
+        picks = action_generators(members, (), lambda x, p: m[m[inv[p]][x]][p])
     moves = [(m[inv[y]], y) for y in picks]  # y^-1 x y as (row of y^-1 at x) y
     return orbits(members, lambda x: [m[row[x]][y] for row, y in moves])
 
 
 def conj_decomposition(g: FiniteGroup) -> Decomposition:
     """maximal_decomposition(conj_quandle(g)) from the multiplication rows,
-    each block refined by conj_components; the components, levels[1], are
-    the conjugacy classes."""
-    return iterate_refinement(Partition([range(g.size)]), lambda block: conj_components(g, block))
+    each block refined by conj_components, the whole group by its group
+    picks; the components, levels[1], are the conjugacy classes."""
+    return iterate_refinement(Partition([range(g.size)]), lambda block: conj_components(
+        g, None if len(block) == g.size else block))

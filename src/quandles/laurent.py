@@ -177,10 +177,19 @@ def parse_poly(text: str) -> LaurentPoly:
             raise ParseError("expected 't'", m.end())
         if exp == "":
             raise ParseError("expected an integer exponent", m.start(6))
-        e = int(esign + exp) if exp else (1 if t else 0)
-        coeffs[e] = coeffs.get(e, 0) + int(sign + (coeff or "1"))
+        c = parse_int(sign + (coeff or "1"), m.start(2))
+        e = parse_int(esign + exp, m.start(6)) if exp else (1 if t else 0)
+        coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
     return LaurentPoly(coeffs)
+
+
+def parse_int(digits: str, position: int) -> int:
+    """int(digits); past sys.get_int_max_str_digits, a positioned ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer too long", position) from None
 
 
 def eval_one(f: LaurentPoly) -> int:

@@ -40,7 +40,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, blocks: Iterable[Iterable[int]]):
-        return super().__new__(cls, sorted(tuple(sorted(set(b))) for b in blocks if b))
+        return super().__new__(cls, sorted(map(tuple, map(sorted, map(set, filter(None, blocks))))))
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, self)))
@@ -162,7 +162,8 @@ def read_table(table, labels, field: str, size=None) -> tuple[tuple, Optional[tu
     pass); an entry not an int (bools excluded); labels not a list of
     strings or ints; an empty table, or a size that is not an int or not the
     row count; row by row, a ragged row or an entry out of range; a label
-    count other than the row count."""
+    count other than the row count.  Shape and range are checked on the set
+    of row lengths and of entries; a row scan only words a failure."""
     if type(table) not in _LIST or not _LIST.issuperset(map(type, table)):
         raise ValueError(f"'{field}' must be a list of lists")
     if not all(_INT.issuperset(map(type, row)) for row in table):
@@ -182,11 +183,12 @@ def read_table(table, labels, field: str, size=None) -> tuple[tuple, Optional[tu
     if size is not None and size != n:
         raise ValueError(count)
     rows = tuple(map(tuple, table))
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(square)
-        if min(row) < 0 or max(row) >= n:
-            raise ValueError(entries)
+    if set(map(len, rows)) != {n} or min(values := set().union(*rows)) < 0 or max(values) >= n:
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(square)
+            if min(row) < 0 or max(row) >= n:
+                raise ValueError(entries)
     if labels is not None and len(labels) != n:
         raise ValueError(labelled)
     return rows, labels

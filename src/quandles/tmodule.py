@@ -39,7 +39,7 @@ from .intmat import (
     transpose,
     unimodular_inverse,
 )
-from .laurent import LaurentPoly, ParseError, eval_one, format_poly, gcd_vec, parse_poly
+from .laurent import LaurentPoly, ParseError, eval_one, format_poly, gcd_vec, parse_int, parse_poly
 
 
 class UnsupportedPresentation(Exception):
@@ -98,9 +98,9 @@ def parse_ideal(text: str) -> IdealPresentation:
     """Parse 'n; p1; p2; ...' into a presentation."""
     first, sep, rest = text.partition(";")
     head = first.strip()
-    if not head or not head.lstrip("+-").isdecimal():
+    if not head or not head[head[0] in "+-":].isdecimal():  # one sign at most
         raise ParseError("expected an integer modulus", 0)
-    n = int(head)
+    n = parse_int(head, 0)
     if n < 1:
         raise ParseError("modulus must be positive", 0)
     return IdealPresentation(n, parse_generators(rest, len(first) + 1) if sep else ())

@@ -17,6 +17,9 @@ from quandles.quandle import FiniteQuandle, type_of
 from quandles.verify import CHECK_GROUPS, NON_ASSOCIATIVE_LOOP
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -64,6 +67,17 @@ class TestParsingCommands:
     def test_superscript_digit_is_a_parse_error(self, capsys, ideal, err):
         # str.isdigit accepts a superscript two, which int() refuses
         assert run(capsys, "build", ideal) == (2, "", err)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer string conversion limit")
+    @pytest.mark.parametrize("verb,text,position", [
+        ("build", "5; {}t+1", 3), ("build", "5; t^{}+1", 5), ("build", "{}; t+1", 0),
+        ("theory", "{}t+1", 0),
+    ], ids=["coefficient", "exponent", "modulus", "theory"])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, capsys, verb, text, position):
+        # int() refuses more digits than the limit; the start of the digits is named
+        ones = "1" * (DIGIT_LIMIT + 1)
+        assert run(capsys, verb, text.format(ones)) == (
+            2, "", f"parse error: integer too long (position {position})\n")
 
     def test_bad_modulus_exit_code(self, capsys):
         assert run(capsys, "build", "0; t+1")[0] == 2
@@ -451,6 +465,24 @@ class TestTableLoading:
             ("two-mcq-group-and-op", "--mcq", {"groups": [{"mult": [["a"]]}], "op": [[0, "x"]]},
              "'mult' entries must be integers"),
             ("two-mcq-range-before-ragged", "--mcq", {"groups": [GROUP], "op": [[0, 5], [1]]},
+             "operation entries must index the carrier"),
+            # shape and range are checked on all rows at once; the first
+            # fault in row order is still the one named
+            ("two-table-ragged-before-range", "--table", {"table": [[0], [5, 0]]},
+             "table must be square"),
+            ("two-table-range-before-ragged", "--table", {"table": [[0, 5], [0]]},
+             "table entries must index elements"),
+            ("two-table-negative-before-ragged", "--table", {"table": [[-1, 0], [0]]},
+             "table entries must index elements"),
+            ("two-group-ragged-before-range", "--group", {"mult": [[0], [5, 0]]},
+             "multiplication table must be square"),
+            ("two-group-range-before-ragged", "--group", {"mult": [[0, 5], [0]]},
+             "table entries must index elements"),
+            ("two-group-negative-before-ragged", "--group", {"mult": [[-1, 0], [0]]},
+             "table entries must index elements"),
+            ("two-mcq-ragged-before-range", "--mcq", {"groups": [GROUP], "op": [[0], [5, 0]]},
+             "operation table must be carrier x carrier"),
+            ("two-mcq-negative-before-ragged", "--mcq", {"groups": [GROUP], "op": [[-1, 0], [0]]},
              "operation entries must index the carrier"),
         ]])
     @pytest.mark.parametrize("unchecked", [False, True], ids=["checked", "unchecked"])

@@ -6,20 +6,24 @@ from quandles import (
     AxiomViolation,
     FiniteGroup,
     InvalidTable,
+    NotASubquandle,
     check_axioms,
     check_group,
+    conj_components,
+    conj_decomposition,
     conj_quandle,
     conjugacy_classes,
     connected_components,
     cyclic_group,
+    maximal_decomposition,
     symmetric_group,
     trivial_quandle,
 )
 from quandles.group import _first_nonassociative
 from quandles.quandle import action_generators
-from quandles.verify import (_dihedral_group_table, near_group, perturbed_product,
+from quandles.verify import (_dihedral_group_table, _product_table, near_group, perturbed_product,
                              random_group_table, reference_identity_and_inverses,
-                             reference_symmetric_table, small_group_tables)
+                             reference_symmetric_table, relabelled_table, small_group_tables)
 
 
 class TestSymmetricGroup:
@@ -121,6 +125,27 @@ class TestConjugacyClasses:
         for n in (1, 2, 3, 4, 5):
             g = symmetric_group(n)
             assert conjugacy_classes(g) == connected_components(conj_quandle(g))
+
+
+class TestConjDecomposition:
+    @pytest.mark.parametrize("mult,final", [
+        (lambda: _dihedral_group_table(150), 152),
+        (lambda: _product_table(symmetric_group(5).mult, cyclic_group(3).mult), 24),
+    ], ids=["D150", "S5xC3"])
+    def test_block_picks_give_the_quandle_engine_tower(self, mult, final):
+        g = FiniteGroup(relabelled_table(random.Random(1), mult()))
+        q = conj_quandle(g)
+        dec = conj_decomposition(g)
+        assert dec == maximal_decomposition(q) and len(dec.final) == final
+        for level in dec.levels:
+            for block in level:
+                assert conj_components(g, block) == connected_components(q, block)
+
+    def test_an_ambient_set_that_is_not_closed_is_refused(self):
+        g = symmetric_group(3)
+        # (1 3)^-1 (1 2) (1 3) = (2 3) leaves the set
+        with pytest.raises(NotASubquandle):
+            conj_components(g, [g.labels.index("(1 2)"), g.labels.index("(1 3)")])
 
 
 class TestJson:

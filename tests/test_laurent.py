@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,8 @@ from quandles.laurent import (
     split_one_minus_t,
     syzygy_basis,
 )
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def rand_poly(rng, span=4, coeff=10):
@@ -187,6 +190,16 @@ class TestParseErrors:
     ])
     def test_spacing_accepted(self, text, canon):
         assert format_poly(parse_poly(text)) == canon
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer string conversion limit")
+    def test_integer_past_the_digit_limit_names_its_digits(self):
+        long, fits = "9" * (DIGIT_LIMIT + 1), "9" * DIGIT_LIMIT
+        for text, pos in [(f"{long}t", 0), (f"t + {long}", 4), (f"-t^{long}", 3), (f"t^-{long}", 3),
+                          (f"{long}t^{long}", 0), (f"{fits}t^{long}", DIGIT_LIMIT + 2)]:
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert (err.value.message, err.value.position) == ("integer too long", pos)
+        assert parse_poly(f"{fits}t") == int(fits) * LaurentPoly.t()
 
 
 class TestArithmetic:

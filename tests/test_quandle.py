@@ -429,9 +429,13 @@ class TestJson:
 # the first-pick mutant of each module's action_generators: it keeps only the
 # first pick of the calls with a start set (True), of those without (False),
 # or of all of them (None); an MCQ's calls with one pick its groups' Gamma,
-# those without its Z
+# those without its Z; a group's calls with one pick for the associativity
+# certificate and the conjugacy classes, those without for a block's orbits
 FIRST_PICK_MUTANTS = {"quandle": (quandle, None), "gamma": (mcq, True), "z": (mcq, False),
-                      "group": (group, None)}
+                      "group": (group, True), "block": (group, False)}
+
+
+_TRANSPOSITIONS = next(b for b in conjugacy_classes(symmetric_group(3)) if len(b) == 3)
 
 
 def _first_pick_only(started):
@@ -451,8 +455,12 @@ def _first_pick_only(started):
      lambda g: check_group(g) is None),
     ("group", lambda fx: symmetric_group(3),
      lambda g: conj_components(g) != conjugacy_classes(g)),
+    # the transposition class of S3, split in two by the first pick alone
+    ("block", lambda fx: symmetric_group(3),
+     lambda g: conj_components(g, _TRANSPOSITIONS) != connected_components(conj_quandle(g),
+                                                                            _TRANSPOSITIONS)),
 ], ids=["quandle-axioms", "mcq-gamma-picks", "mcq-z-picks", "group-associativity",
-        "conj-components"])
+        "conj-components", "conj-block"])
 def test_each_committed_witness_is_missed_only_by_its_own_mutant(monkeypatch, request,
                                                                  own, build, wrong):
     witness = build(request.getfixturevalue)

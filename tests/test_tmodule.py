@@ -600,6 +600,13 @@ class TestParseIdeal:
             parse_ideal("\u00b2; t+1")
         assert (err.value.message, err.value.position) == ("expected an integer modulus", 0)
 
+    @pytest.mark.parametrize("head", ["--5", "+-5", "-+5", "++5"])
+    def test_a_modulus_with_two_signs_is_a_parse_error(self, head):
+        # int() refuses a second sign, which once passed the digit test
+        with pytest.raises(ParseError) as err:
+            parse_ideal(f"{head}; t+1")
+        assert (err.value.message, err.value.position) == ("expected an integer modulus", 0)
+
     def test_error_position_spans_segments(self):
         with pytest.raises(ParseError) as err:
             parse_ideal("6; t^2+t+1; t^")
