@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -356,6 +357,73 @@ class TestReduceModMonic:
         # t^3 = 1 mod (7, t^2+t+1), so the second generator is t^2 + 3 = 2 - t
         m = build(parse_ideal(f"7; t^2+t+1; t^{3 * 10 ** 20 + 2}+3"))
         assert m.order == 7 and m.reduce_poly(parse_poly("t-2")) == m.zero()
+
+
+BUILD_GRID_MODULI = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36, 60, 90)
+
+
+def build_grid():
+    """3000 seeded presentations over the paths of build: monic and non-monic
+    generators of degree 1-3, folded constants and fold cascades, flips,
+    saturation, two generators, and in a quarter of the draws a further
+    generator with an exponent up to 10^18."""
+    rng = random.Random(34)
+    grid = [parse_ideal(text) for text in (
+        "90; 15t+30; 6; t+1", "12; 4t+6; 3", "60; 10t+15; 4; t^2+t+1",
+        "10; 2t+1", "12; 3t^2+2t+1", "12; t+2", "4; 2t+2",
+        "5; t+1; t^1000000000000000000+2", "10; 2t+1; 2t^1000000000001+t^1000000000000+2t+1")]
+    while len(grid) < 3000:
+        n = rng.choice(BUILD_GRID_MODULI)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        further = rng.randrange(4) == 0
+        polys = []
+        for _ in range(1 + (rng.randrange(5) < 2)):
+            scale = rng.choice(divisors) if rng.randrange(3) == 0 else 1
+            deg = rng.randint(1, 3)
+            coeffs = {e: scale * rng.randrange(-n, 2 * n) for e in range(deg + 1)}
+            if further and not polys:
+                # a unit leads a generator of degree at most 3, so the
+                # further generator below is never the pick
+                coeffs[deg] = rng.choice([u for u in range(1, n) if math.gcd(u, n) == 1])
+            polys.append(LaurentPoly(coeffs))
+        if rng.randrange(5) == 0:
+            polys.append(LaurentPoly.t(rng.randint(0, 2), rng.choice(divisors) * rng.randint(1, 3)))
+        if further:
+            polys.append(LaurentPoly({rng.randint(1, 10 ** rng.randint(1, 18)): rng.randint(1, n),
+                                      0: rng.randrange(n)}))
+        rng.shuffle(polys)
+        grid.append(IdealPresentation(n, tuple(polys)))
+    return grid
+
+
+def build_fingerprint(pres):
+    try:
+        m = build(pres)
+    except UnsupportedPresentation:
+        return repr((pres.descriptor(), "unsupported"))
+    return repr((m.descriptor(), m.invariant_factors, m.t_matrix, m.t_inverse_matrix,
+                 m.eval_vector, m.reduce_poly(LaurentPoly.const(1)), m.labels_are_polynomials,
+                 m.labels() if m.order <= 4096 else None))
+
+
+class TestBuildBytes:
+    def test_the_build_grid_hashes_as_pinned(self):
+        # any change to a coordinate, a matrix or a label of a build shows here
+        text = "\n".join(map(build_fingerprint, build_grid()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5000d59865c2b4522ec26efa72e97c08b530519fb13839607a18aae5e61b96eb")
+
+    def test_the_build_grid_covers_every_path(self):
+        built = []
+        for pres in build_grid():
+            try:
+                built.append(build(pres))
+            except UnsupportedPresentation:
+                pass
+        assert 500 < len(built) < 3000
+        assert any(m._flipped for m in built)
+        assert {m.rank for m in built} == {0, 1, 2, 3}
+        assert {m.labels_are_polynomials for m in built} == {False, True}
 
 
 class TestQuotientStructure:
