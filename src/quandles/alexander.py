@@ -206,8 +206,5 @@ def gcd_chain(n0: int, a: int) -> GcdChain:
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    depth = len(chain) - 1
-    count = 1
-    for i in range(depth):
-        count *= math.gcd(chain[i], 1 + a)
-    return GcdChain(tuple(chain), depth, count, chain[-1])
+    # each step divides by its gcd, so the gcds multiply to n0 // n_l
+    return GcdChain(tuple(chain), len(chain) - 1, n0 // chain[-1], chain[-1])

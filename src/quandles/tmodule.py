@@ -4,10 +4,12 @@ A presentation is an ideal (n, p_1, ..., p_k) whose first generator is a
 positive integer n.  The builder realizes the quotient ring as a finite
 abelian group in invariant-factor coordinates:
 
-1. reduce the generators mod n, normalize each by a power of t, and fold any
-   constants that appear into the modulus;
+1. fold the generators that are constants up to a power of t into the
+   modulus, through the presentation's own constructor, which reduces mod n,
+   shifts each generator to exponent 0 and drops what vanishes;
 2. pick a generator whose leading coefficient is a unit mod n (substituting
-   t -> 1/t first when only a trailing unit exists) and scale it monic;
+   t -> 1/t first, again through the constructor, when only a trailing unit
+   exists) and scale it monic;
 3. start from Z_n[t]/(g), a free Z_n-module of rank deg(g) on which t acts by
    the companion matrix of g;
 4. quotient by the t-stable lattice spanned by the remaining generators,
@@ -131,45 +133,27 @@ def presentation_from_generators(gens) -> IdealPresentation:
 # build pipeline internals
 
 
-def _fold_constants(n, polys):
-    """Reduce mod n, shift to exponent 0, fold constants into the modulus.
+def _fold_constants(pres):
+    """Fold the constant generators into the modulus until it stops falling.
 
-    Folding shrinks n, which can kill further coefficients, so iterate to a
-    fixed point (n only ever divides its previous value).
+    The stored generators are shifted to exponent 0, so a constant up to a
+    power of t has max_exp 0.  The new modulus divides it, so the constructor
+    drops it, and reducing the others mod the new modulus can make more of
+    them constant.
     """
-    work = [dict(f.terms()) for f in polys]
     while True:
-        n0 = n
-        reduced = []
-        for d in work:
-            d2 = {e: c % n for e, c in d.items() if c % n}
-            if not d2:
-                continue
-            lo = min(d2)
-            d2 = {e - lo: c for e, c in d2.items()}
-            if max(d2) == 0:
-                n = math.gcd(n, d2[0])
-            else:
-                reduced.append(d2)
-        work = reduced
-        if n == 1:
-            return 1, []
-        if n == n0:
-            return n, work
-
-
-def _flip(d):
-    """Substitute t -> 1/t in a coefficient dict and renormalize to exponent 0."""
-    lo = min(-e for e in d)
-    return {-e - lo: c for e, c in d.items()}
+        n = math.gcd(pres.modulus, *(f.coeff(0) for f in pres.polys if f.max_exp == 0))
+        if n == pres.modulus:
+            return pres
+        pres = IdealPresentation(n, pres.polys)
 
 
 def _monic_pick(polys, n):
     """Index of a generator with unit leading coefficient; lowest degree wins."""
-    cands = [i for i, d in enumerate(polys) if math.gcd(d[max(d)], n) == 1]
+    cands = [i for i, f in enumerate(polys) if math.gcd(f.coeff(f.max_exp), n) == 1]
     if not cands:
         return None
-    return min(cands, key=lambda i: (max(polys[i]), i))
+    return min(cands, key=lambda i: (polys[i].max_exp, i))
 
 
 def _companion(gvec, n):
@@ -183,25 +167,16 @@ def _companion(gvec, n):
     return rows
 
 
-def _reduce_mod_monic(coeffs, gvec, n):
-    """Coordinates of a nonnegative-exponent polynomial mod the monic g over
-    Z_n.  A term of exponent e >= deg g takes t^e, column 0 of C^e for the
-    companion matrix C, by square-and-multiply, so its cost grows with the
-    bit length of e, not with e."""
-    deg = len(gvec)
-    out = [0] * deg
-    for e, v in coeffs.items():
-        if e < deg:
-            out[e] = (out[e] + v) % n
-            continue
-        power, base = identity(deg), _companion(gvec, n)
-        while e:
-            if e & 1:
-                power = [[x % n for x in row] for row in mat_mul(power, base)]
-            base = [[x % n for x in row] for row in mat_mul(base, base)]
-            e >>= 1
-        out = [(o + v * row[0]) % n for o, row in zip(out, power)]
-    return out
+def _power_times(base, e, vec, mods):
+    """base^e vec for e >= 0, coordinate i taken mod mods[i], by
+    square-and-multiply, so the cost grows with the bit length of e."""
+    while e:
+        if e & 1:
+            vec = [x % m for x, m in zip(mat_vec(base, vec), mods)]
+        e >>= 1
+        if e:
+            base = _row_reduce(mat_mul(base, base), mods)
+    return vec
 
 
 def _row_reduce(rows, mods):
@@ -285,14 +260,16 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
     trailing coefficient mod n.
     """
     a = gcd_vec([pres.modulus] + [eval_one(f) for f in pres.polys])
-    n, polys = _fold_constants(pres.modulus, pres.polys)
+    folded = _fold_constants(pres)
+    n, polys = folded.modulus, folded.polys
     if n == 1:
         return FiniteTModule(pres, a, (), (), (), (), (), False, True)
     flipped = False
     pick = _monic_pick(polys, n)
-    if pick is None and any(math.gcd(d[0], n) == 1 for d in polys):
+    if pick is None and any(math.gcd(f.coeff(0), n) == 1 for f in polys):
         flipped = True
-        polys = [_flip(d) for d in polys]
+        polys = IdealPresentation(n, [LaurentPoly({-e: c for e, c in f.terms()})
+                                      for f in polys]).polys
         pick = _monic_pick(polys, n)
     if pick is None:
         raise UnsupportedPresentation(
@@ -301,27 +278,25 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
         )
     g = polys[pick]
     rest = polys[:pick] + polys[pick + 1:]
-    deg = max(g)
-    unit = pow(g[deg] % n, -1, n)
-    gvec = [(g.get(e, 0) * unit) % n for e in range(deg)]
-    comp = _companion(gvec, n)
+    deg = g.max_exp
+    unit = pow(g.coeff(deg), -1, n)
+    comp = _companion([g.coeff(e) * unit for e in range(deg)], n)
     one = [1] + [0] * (deg - 1)
+    mods, t_rows, w = [n] * deg, comp, [1] * deg
 
-    changed = False
+    changed = bool(rest)
     if rest:
         gens = []
         for h in rest:
-            vec = _reduce_mod_monic(h, gvec, n)
+            # h is the sum of c t^e, and t^e 1 is C^e e_0 for the companion C
+            vec = [0] * deg
+            for e, c in h.terms():
+                vec = [(v + c * x) % n for v, x in zip(vec, _power_times(comp, e, one, mods))]
             for _ in range(deg):
                 gens.append(vec)
-                vec = [x % n for x in mat_vec(comp, vec)]
-        gens += [[n if i == j else 0 for i in range(deg)] for j in range(deg)]
-        mods, t_rows, w, one = _quotient_action(deg, gens, comp, [1] * deg, one)
-        changed = True
-    else:
-        mods = [n] * deg
-        t_rows = _row_reduce([list(r) for r in comp], mods)
-        w = [1] * deg
+                vec = _power_times(comp, 1, vec, mods)
+        gens += _diag_rows(mods)
+        mods, t_rows, w, one = _quotient_action(deg, gens, t_rows, w, one)
 
     kernel = _stable_kernel_lattice(t_rows, mods)
     if kernel != hnf(_diag_rows(mods)):
@@ -331,17 +306,8 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
     tinv_rows = _invert_action(t_rows, mods)
     if flipped:
         t_rows, tinv_rows = tinv_rows, t_rows
-    return FiniteTModule(
-        pres,
-        a,
-        tuple(mods),
-        tuple(tuple(r) for r in t_rows),
-        tuple(tuple(r) for r in tinv_rows),
-        tuple(x % a for x in w),
-        tuple(one),
-        flipped,
-        not flipped and not changed,
-    )
+    return FiniteTModule(pres, a, mods, t_rows, tinv_rows, [x % a for x in w], one,
+                         flipped, not flipped and not changed)
 
 
 class FiniteTModule:
@@ -392,17 +358,8 @@ class FiniteTModule:
     def neg(self, x):
         return tuple((-p) % m for p, m in zip(x, self.invariant_factors))
 
-    def _apply(self, rows, x):
-        return tuple(
-            sum(rows[i][j] * x[j] for j in range(self.rank)) % self.invariant_factors[i]
-            for i in range(self.rank)
-        )
-
     def t_act(self, x):
-        return self._apply(self.t_matrix, x)
-
-    def t_inv_act(self, x):
-        return self._apply(self.t_inverse_matrix, x)
+        return tuple(_power_times(self.t_matrix, 1, x, self.invariant_factors))
 
     @property
     def t_order(self) -> int:
@@ -495,15 +452,9 @@ class FiniteTModule:
         t^-1 when e < 0), so an exponent costs its bit length."""
         out = self.zero()
         for e, c in f.terms():
-            vec, base = self._one, self.t_matrix if e >= 0 else self.t_inverse_matrix
-            e = abs(e)
-            while e:
-                if e & 1:
-                    vec = self._apply(base, vec)
-                e >>= 1
-                if e:
-                    base = _row_reduce(mat_mul(base, base), self.invariant_factors)
-            out = self.add(out, tuple(c * v for v in vec))
+            vec = _power_times(self.t_matrix if e >= 0 else self.t_inverse_matrix, abs(e),
+                               self._one, self.invariant_factors)
+            out = self.add(out, [c * v for v in vec])
         return out
 
     def label(self, x) -> str:
@@ -518,10 +469,6 @@ class FiniteTModule:
     def labels(self) -> list[str]:
         return [self.label(x) for x in self.elements()]
 
-    def reduces_to_zero(self, pres: IdealPresentation) -> bool:
-        """Whether every generator of the presentation maps to 0 here."""
-        return all(self.reduce_poly(g) == self.zero() for g in pres.generators())
-
     def descriptor(self) -> str:
         return self.presentation.descriptor()
 
@@ -535,6 +482,6 @@ def ideals_equal(p1: IdealPresentation, p2: IdealPresentation) -> bool:
     Decided by mutual reduction of generators plus equal order, never by
     comparing generator lists (those depend on basis choices).
     """
-    m1 = build(p1)
-    m2 = build(p2)
-    return m1.order == m2.order and m1.reduces_to_zero(p2) and m2.reduces_to_zero(p1)
+    m1, m2 = build(p1), build(p2)
+    return m1.order == m2.order and all(
+        m.reduce_poly(g) == m.zero() for m, p in ((m1, p2), (m2, p1)) for g in p.generators())

@@ -172,6 +172,17 @@ class TestGcdChain:
                 result = gcd_chain(n0, a)
                 assert (result.depth, result.block_count) == (0, 1)
 
+    def test_block_count_is_the_product_of_the_gcds(self):
+        for n0 in range(1, 301):
+            for a in range(-30, 31):
+                # reference: divide out gcd(n_i, 1 + a) one step at a time
+                n, product = n0, 1
+                while math.gcd(n, 1 + a) != 1:
+                    product *= math.gcd(n, 1 + a)
+                    n //= math.gcd(n, 1 + a)
+                result = gcd_chain(n0, a)
+                assert (result.block_count, result.block_modulus) == (product, n), (n0, a)
+
     def test_against_brute_force_samples(self):
         rng = random.Random(22)
         for _ in range(30):

@@ -8,8 +8,10 @@ from quandles.alexander import alexander_components
 from quandles.laurent import LaurentPoly, ParseError, eval_one, parse_poly
 from quandles.tmodule import (
     IdealPresentation,
+    _companion,
+    _fold_constants,
     _invert_action,
-    _reduce_mod_monic,
+    _power_times,
     UnsupportedPresentation,
     build,
     ideals_equal,
@@ -63,7 +65,8 @@ class TestBuild:
         m = build(parse_ideal("10; 2t+1"))
         assert m.order == 5
         assert m.t_act((1,)) == (2,)
-        assert m.t_inv_act((2,)) == (1,)
+        assert m.t_inverse_matrix == ((3,),)  # 2 * 3 = 1 mod 5
+        assert m.reduce_poly(LaurentPoly.t(-1)) == (3,)
         assert not m.labels_are_polynomials
 
     def test_flip_collapse(self):
@@ -129,8 +132,12 @@ class TestOperations:
         elems = m.elements()
         images = {m.t_act(x) for x in elems}
         assert len(images) == len(elems)
+        # the labels are polynomials, so t x is the polynomial of t_act(x),
+        # and reduce_poly takes t^-1 of it through t_inverse_matrix
+        assert m.labels_are_polynomials
         for x in elems:
-            assert m.t_inv_act(m.t_act(x)) == x
+            tx = LaurentPoly(dict(enumerate(m.t_act(x))))
+            assert m.reduce_poly(tx * LaurentPoly.t(-1)) == x
 
     def test_eval_class_zero_element(self, six_cubic):
         m = six_cubic.module
@@ -345,13 +352,19 @@ def linear_reduction(coeffs, gvec, n):
 
 class TestReduceModMonic:
     def test_square_and_multiply_matches_the_linear_reduction(self):
+        # build maps a further generator to the sum of c C^e e_0, with C the
+        # companion matrix of the monic pick
         rng = random.Random(60)
         for _ in range(600):
             n, deg = rng.randint(2, 60), rng.randint(0, 5)
             gvec = [rng.randrange(n) for _ in range(deg)]
             coeffs = {rng.randint(0, 60): rng.randint(-100, 100)
                       for _ in range(rng.randint(1, 4))}
-            assert _reduce_mod_monic(coeffs, gvec, n) == linear_reduction(coeffs, gvec, n)
+            comp, e0 = _companion(gvec, n), [int(i == 0) for i in range(deg)]
+            out = [0] * deg
+            for e, c in coeffs.items():
+                out = [(o + c * x) % n for o, x in zip(out, _power_times(comp, e, e0, [n] * deg))]
+            assert out == linear_reduction(coeffs, gvec, n)
 
     def test_a_huge_exponent_reduces_by_its_bits(self):
         # t^3 = 1 mod (7, t^2+t+1), so the second generator is t^2 + 3 = 2 - t
@@ -426,6 +439,64 @@ class TestBuildBytes:
         assert {m.labels_are_polynomials for m in built} == {False, True}
 
 
+def sequential_fold(n, polys):
+    """Reference fold, one generator at a time on coefficient dicts: reduce
+    mod the current n, shift to exponent 0, fold a constant into n at once,
+    and repeat the pass until n stops falling."""
+    work = [dict(f.terms()) for f in polys]
+    while True:
+        n0 = n
+        reduced = []
+        for d in work:
+            d = {e: c % n for e, c in d.items() if c % n}
+            if not d:
+                continue
+            d = {e - min(d): c for e, c in d.items()}
+            if max(d) == 0:
+                n = math.gcd(n, d[0])
+            else:
+                reduced.append(d)
+        work = reduced
+        if n == 1:
+            return 1, []
+        if n == n0:
+            return n, work
+
+
+class TestFoldConstants:
+    @pytest.mark.parametrize("text, folded", [
+        # 6 folds n to 6, then 15t+30 = 3t mod 6 folds it to 3
+        ("90; 15t+30; 6; t+1", "3; 1+t"),
+        ("12; 4t+6; 3", "1"),
+        ("60; 10t+15; 4; t^2+t+1", "4; 3+2t; 1+t+t^2"),
+    ])
+    def test_cascades(self, text, folded):
+        assert _fold_constants(parse_ideal(text)) == parse_ideal(folded)
+
+    def test_a_cascade_builds_its_folded_quotient(self):
+        m = build(parse_ideal("90; 15t+30; 6; t+1"))
+        assert (m.order, m.labels()) == (3, ["0", "1", "2"])
+
+    def test_seeded_presentations_fold_as_one_generator_at_a_time(self):
+        rng = random.Random(3401)
+        folds = 0
+        for _ in range(20000):
+            n = rng.choice((60, 72, 90, 120, 144, 180, 240, 360, 720))
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                scale = rng.choice(divisors)
+                lo = rng.randint(-2, 2)
+                polys.append(LaurentPoly({e: scale * rng.randint(-n, n)
+                                          for e in range(lo, lo + rng.randint(1, 3))}))
+            pres = IdealPresentation(n, tuple(polys))
+            expected = sequential_fold(n, pres.polys)
+            folded = _fold_constants(pres)
+            assert (folded.modulus, [dict(f.terms()) for f in folded.polys]) == expected, pres
+            folds += folded.modulus < n
+        assert folds > 5000
+
+
 class TestQuotientStructure:
     def sample_presentations(self):
         rng = random.Random(40)
@@ -475,7 +546,7 @@ class TestQuotientStructure:
                 f = LaurentPoly({e: rng.randint(-9, 9)
                                  for e in range(rng.randint(-2, 0), rng.randint(1, 4))})
                 assert m.reduce_poly(f * LaurentPoly.t()) == m.t_act(m.reduce_poly(f))
-                assert m.reduce_poly(f * LaurentPoly.t(-1)) == m.t_inv_act(m.reduce_poly(f))
+                assert m.t_act(m.reduce_poly(f * LaurentPoly.t(-1))) == m.reduce_poly(f)
 
     def test_reduction_additive(self):
         rng = random.Random(42)
