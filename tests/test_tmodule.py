@@ -451,7 +451,8 @@ def sequential_fold(n, polys):
             d = {e: c % n for e, c in d.items() if c % n}
             if not d:
                 continue
-            d = {e - min(d): c for e, c in d.items()}
+            lo = min(d)
+            d = {e - lo: c for e, c in d.items()}
             if max(d) == 0:
                 n = math.gcd(n, d[0])
             else:
@@ -490,7 +491,7 @@ class TestFoldConstants:
                 polys.append(LaurentPoly({e: scale * rng.randint(-n, n)
                                           for e in range(lo, lo + rng.randint(1, 3))}))
             pres = IdealPresentation(n, tuple(polys))
-            expected = sequential_fold(n, pres.polys)
+            expected = sequential_fold(n, polys)
             folded = _fold_constants(pres)
             assert (folded.modulus, [dict(f.terms()) for f in folded.polys]) == expected, pres
             folds += folded.modulus < n
