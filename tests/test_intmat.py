@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from quandles.intmat import (
@@ -11,6 +12,7 @@ from quandles.intmat import (
     right_kernel,
     snf_transform,
     solve,
+    transpose,
     unimodular_inverse,
 )
 
@@ -120,3 +122,65 @@ def test_in_row_span():
     assert in_row_span(basis, [4, 3])
     assert not in_row_span(basis, [1, 0])
     assert in_row_span(basis, [0, 0])
+
+
+def normal_form_grid():
+    """20,000 seeded pairs (a, b): a of shape 0-6 x 0-6, empty shapes
+    included, and b of a shape that a can multiply.  Entries are bounded by
+    1, 3, 10 or 100, drawn per pair, and about 30 % of them are zero."""
+    rng = random.Random(35)
+
+    def draw(rows, cols, bound):
+        return [[0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(cols)]
+                for _ in range(rows)]
+
+    grid = []
+    for _ in range(20000):
+        m, n, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        bound = rng.choice((1, 3, 10, 100))
+        grid.append((draw(m, n, bound), draw(n, p, bound)))
+    return grid
+
+
+def unimodular_inverse_or_refusal(mat):
+    try:
+        return unimodular_inverse(mat)
+    except ValueError:
+        return "not unimodular"
+
+
+def normal_form_fingerprint(a, b):
+    h, u = hnf_transform(a)
+    return repr((h, u, snf_transform(a), unimodular_inverse_or_refusal(a), unimodular_inverse(u),
+                 hnf(a), left_kernel(a), right_kernel(a), mat_mul(a, b), transpose(a)))
+
+
+class TestNormalFormBytes:
+    def test_the_normal_form_grid_hashes_as_pinned(self):
+        # any change to an entry of a normal form, a transform or a kernel shows here
+        text = "\n".join(normal_form_fingerprint(a, b) for a, b in normal_form_grid())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ee37b8c183a559455378c74e11a74443fe8396f198c4847a2c4a463bafe49d33")
+
+    def test_the_normal_form_grid_covers_every_shape(self):
+        grid = normal_form_grid()
+        shapes = {(len(a), len(b)) for a, b in grid}
+        assert shapes == {(m, n) for m in range(7) for n in range(7)}
+        inverses = [unimodular_inverse_or_refusal(a) for a, _ in grid]
+        assert 1000 < inverses.count("not unimodular") < len(grid) - 1000
+
+
+class TestEmptyShapes:
+    def test_products_with_no_rows_or_no_columns(self):
+        assert mat_mul([], [[1]]) == []
+        assert mat_mul([[], []], []) == [[], []]
+
+    def test_the_empty_matrix(self):
+        assert transpose([]) == []
+        assert hnf([]) == []
+        assert left_kernel([]) == []
+        assert right_kernel([]) == []
+        assert snf_transform([]) == ([], [], [])
+
+    def test_rows_with_no_columns_keep_the_identity_transform(self):
+        assert hnf_transform([[], []]) == ([[], []], [[1, 0], [0, 1]])

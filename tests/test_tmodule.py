@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from quandles import tmodule
 from quandles.alexander import alexander_components
 from quandles.laurent import LaurentPoly, ParseError, eval_one, parse_poly
 from quandles.tmodule import (
@@ -52,6 +53,19 @@ class TestBuild:
         # in the quotient t must be invertible; localizing Z_4 at 2 kills it
         assert saturated_order_oracle(4, -2 % 4) == 1
         assert build(parse_ideal("4; t+2")).order == 1
+
+    def test_a_generator_quotient_down_to_rank_zero(self, monkeypatch):
+        # t+1 gives Z_5 with t = -1, where t+2 is the unit 1; the kernel chain
+        # and the inverse action then run on rank 0
+        ranks = []
+        for name in ("_stable_kernel_lattice", "_invert_action"):
+            def recorded(t_rows, mods, inner=getattr(tmodule, name)):
+                ranks.append(len(mods))
+                return inner(t_rows, mods)
+            monkeypatch.setattr(tmodule, name, recorded)
+        m = build(parse_ideal("5; t+1; t+2"))
+        assert ranks == [0, 0]
+        assert (m.order, m.invariant_factors, m.t_matrix, m.eval_modulus) == (1, (), (), 1)
 
     def test_partial_saturation(self):
         # oracle: Z_12 localized at t = -2 keeps only the 3-part
