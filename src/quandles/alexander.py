@@ -119,14 +119,11 @@ def dihedral(m: int) -> AlexanderQuandle:
     return alexander_quandle(build(dihedral_presentation(m)))
 
 
-def orbit_count(gens: Iterable[LaurentPoly], modulus: int | None = None) -> int:
-    """Number of connected components: gcd of the generator values at t = 1
-    (and the modulus, when given).  Zero means every value vanished, which
-    only happens for infinite quotients."""
-    values = [eval_one(f) for f in gens]
-    if modulus is not None:
-        values.append(modulus)
-    return gcd_vec(values)
+def orbit_count(gens: Iterable[LaurentPoly]) -> int:
+    """Number of connected components: gcd of the generator values at t = 1,
+    a modulus entering as a constant generator.  Zero means every value
+    vanished, which only happens for infinite quotients."""
+    return gcd_vec([eval_one(f) for f in gens])
 
 
 @dataclass(frozen=True)

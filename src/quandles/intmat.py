@@ -4,27 +4,23 @@ Everything runs on plain Python integers, so intermediate coefficient growth
 is harmless.  Matrices are lists of row lists, sized by module ranks, which
 reach the degree of the monic generator (150 and more in a high-degree build).
 The classic cubic algorithms are used throughout, so their cost grows with
-the cube of that size.
+the cube of that size.  Each normal form carries its transform in the rows
+it reduces, [A | I], so one row operation serves both; empty matrices take
+the general path.
 """
 
 from __future__ import annotations
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[*(0,) * i, 1, *(0,) * (n - 1 - i)] for i in range(n)]
 
 
 def transpose(mat):
-    if not mat:
-        return []
     return [list(col) for col in zip(*mat)]
 
 
 def mat_mul(a, b):
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
@@ -53,20 +49,20 @@ def hnf_transform(mat):
 
     Returns (H, U) with U unimodular and U*mat == H.  H is canonical: pivots
     positive, entries above each pivot reduced into [0, pivot), zero rows at
-    the bottom.
+    the bottom.  The rows reduced are [mat | I], so each row operation also
+    builds U, in the last len(mat) columns; pivots are read in the first n.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    h = [list(row) for row in mat]
-    u = identity(m)
+    h = [list(row) + e for row, e in zip(mat, identity(m))]
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if h[i][c]), None)
-        if piv is None:
+        for piv in range(r, m):
+            if h[piv][c]:
+                break
+        else:
             continue
-        if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
+        h[r], h[piv] = h[piv], h[r]
         for i in range(r + 1, m):
             if not h[i][c]:
                 continue
@@ -77,39 +73,28 @@ def hnf_transform(mat):
                 [x * a + y * b for a, b in zip(h[r], h[i])],
                 [-q * a + p * b for a, b in zip(h[r], h[i])],
             )
-            u[r], u[i] = (
-                [x * a + y * b for a, b in zip(u[r], u[i])],
-                [-q * a + p * b for a, b in zip(u[r], u[i])],
-            )
         if h[r][c] < 0:
             h[r] = [-a for a in h[r]]
-            u[r] = [-a for a in u[r]]
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
         r += 1
         if r == m:
             break
-    return h, u
+    return [row[:n] for row in h], [row[n:] for row in h]
 
 
 def hnf(mat):
     """Canonical basis (nonzero HNF rows) of the integer row lattice of mat."""
-    if not mat:
-        return []
     h, _ = hnf_transform(mat)
     return [row for row in h if any(row)]
 
 
 def left_kernel(mat):
     """Canonical basis of the lattice {v : v*mat == 0}."""
-    if not mat:
-        return []
     h, u = hnf_transform(mat)
-    rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    return hnf(rows)
+    return hnf([w for row, w in zip(h, u) if not any(row)])
 
 
 def right_kernel(mat):
@@ -134,14 +119,15 @@ def snf_transform(mat):
     """Smith normal form with transforms: (D, U, V) with U*mat*V == D.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ...; U and V are
-    unimodular.  The pivot magnitude strictly decreases whenever a cleanup
-    pass leaves a remainder, so the loop terminates.
+    unimodular.  Row operations run on the first m rows of d, [mat | I_m],
+    so they also build U; the rows of V start as I_n below those, so each
+    column operation, a pass over all of d, also builds V.  The pivot
+    magnitude strictly decreases whenever a cleanup pass leaves a remainder,
+    so the loop terminates.
     """
-    d = [list(row) for row in mat]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = identity(m)
-    v = identity(n)
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    d = [list(row) + e for row, e in zip(mat, identity(m))] + identity(n)
     k = 0
     while k < min(m, n):
         best = None
@@ -152,20 +138,15 @@ def snf_transform(mat):
         if best is None:
             break
         i0, j0 = best
-        if i0 != k:
-            d[k], d[i0] = d[i0], d[k]
-            u[k], u[i0] = u[i0], u[k]
+        d[k], d[i0] = d[i0], d[k]
         if j0 != k:
             for row in d:
-                row[k], row[j0] = row[j0], row[k]
-            for row in v:
                 row[k], row[j0] = row[j0], row[k]
         dirty = False
         for i in range(k + 1, m):
             q = d[i][k] // d[k][k]
             if q:
                 d[i] = [a - q * b for a, b in zip(d[i], d[k])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[k])]
             if d[i][k]:
                 dirty = True
         for j in range(k + 1, n):
@@ -173,27 +154,21 @@ def snf_transform(mat):
             if q:
                 for row in d:
                     row[j] -= q * row[k]
-                for row in v:
-                    row[j] -= q * row[k]
             if d[k][j]:
                 dirty = True
         if dirty:
             continue
         piv = d[k][k]
-        offender = None
         for i in range(k + 1, m):
             if any(d[i][j] % piv for j in range(k + 1, n)):
-                offender = i
+                # the first offender's row is added, and the pivot is searched again
+                d[k] = [a + b for a, b in zip(d[k], d[i])]
                 break
-        if offender is not None:
-            d[k] = [a + b for a, b in zip(d[k], d[offender])]
-            u[k] = [a + b for a, b in zip(u[k], u[offender])]
-            continue
-        if piv < 0:
-            d[k] = [-a for a in d[k]]
-            u[k] = [-a for a in u[k]]
-        k += 1
-    return d, u, v
+        else:
+            if piv < 0:
+                d[k] = [-a for a in d[k]]
+            k += 1
+    return [row[:n] for row in d[:m]], [row[n:] for row in d[:m]], d[m:]
 
 
 def unimodular_inverse(u):

@@ -218,8 +218,6 @@ def _stable_kernel_lattice(t_rows, mods):
     least two until it stabilizes, so it settles within log2(order) rounds.
     """
     r = len(mods)
-    if r == 0:
-        return []
     diag = _diag_rows(mods)
     prev = hnf(diag)
     power = identity(r)
@@ -239,8 +237,6 @@ def _invert_action(t_rows, mods):
     then X = V[:, :r] U solves B X = I, so T^-1 = V[:r, :r] U, row i taken
     mod mods[i] (as are the rows of V[:r, :r] before the product)."""
     r = len(mods)
-    if r == 0:
-        return []
     d, u, v = snf_transform([list(row) + diag for row, diag in zip(t_rows, _diag_rows(mods))])
     if any(d[i][i] != 1 for i in range(r)):
         raise ArithmeticError("t does not act invertibly after saturation")

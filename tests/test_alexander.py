@@ -76,7 +76,7 @@ class TestOrbitCount:
         assert orbit_count([parse_poly("6"), parse_poly("t^2+t+1")]) == 3
 
     def test_even_dihedral(self):
-        assert orbit_count([parse_poly("t+1")], modulus=6) == 2
+        assert orbit_count([parse_poly("6"), parse_poly("t+1")]) == 2
 
     def test_connected(self):
         assert orbit_count([parse_poly("t^2+t-1")]) == 1
