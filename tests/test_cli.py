@@ -312,6 +312,14 @@ class TestTableLoading:
             3, "", "invalid table: right translations are not bijections\n")
 
 
+    def test_unchecked_assoc_axioms_read_the_type_of_a_walk_with_a_tail(self, capsys, tmp_path):
+        # column 0 walks 0 -> 1, where 1 is fixed, so the type is 2
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"size": 3, "table": [[1, 0, 0], [1, 1, 1], [2, 2, 2]]}))
+        assert run(capsys, "axioms", "--table", str(path), "--assoc", "--unchecked",
+                   "--format", "json") == (
+            3, '{"axiom": "conjugation", "ok": false, "witness": [0, 1]}\n', "")
+
     @pytest.mark.parametrize("verb", ["components", "maxdecomp", "iso", "assoc"])
     def test_unchecked_refuses_non_bijective_columns_for_every_verb_but_axioms(
             self, capsys, tmp_path, verb):

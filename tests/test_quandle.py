@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -17,6 +18,7 @@ from quandles import (
     check_group,
     check_mcq_axioms,
     column_cycle_type,
+    component_ideal,
     conj_components,
     conj_quandle,
     conjugacy_classes,
@@ -34,7 +36,8 @@ from quandles import (
     type_of,
 )
 from quandles import group, mcq, quandle
-from quandles.quandle import _first_violation, action_generators
+from quandles.laurent import LaurentPoly
+from quandles.quandle import _first_violation, _profile, action_generators
 from quandles.verify import NON_ASSOCIATIVE_LOOP, _product_table, near_quandle, relabelled, transports
 
 
@@ -399,11 +402,53 @@ class TestIsomorphism:
         assert find_isomorphism(q, q) == tuple(range(q.size))
 
 
+def cycle_walk_grid():
+    """20,000 seeded tables of order 1-9, as (columns are bijections, table):
+    every third draws each entry at random, the others a random
+    permutation per column."""
+    rng = random.Random(3607)
+    for i in range(20000):
+        n = rng.randint(1, 9)
+        if i % 3 == 0:
+            yield n == 1, FiniteQuandle([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        else:
+            cols = [rng.sample(range(n), n) for _ in range(n)]
+            yield True, FiniteQuandle([[col[x] for col in cols] for x in range(n)])
+
+
+def cycle_walk_fingerprints():
+    """Everything read off permutation cycles: the column cycle types and
+    the type of every grid table, the profile of the bijective ones, the
+    labels of S1-S6, and the rank-1 note of [m, t + a] and [t + a, m]."""
+    for bijective, q in cycle_walk_grid():
+        yield repr(([column_cycle_type(q, b) for b in range(q.size)], type_of(q),
+                    _profile(q) if bijective else None))
+    for n in range(1, 7):
+        yield repr(symmetric_group(n).labels)
+    for m in range(-30, 31):
+        for a in range(-30, 31):
+            const, linear = LaurentPoly.const(m), LaurentPoly({0: a, 1: 1})
+            yield repr((component_ideal([const, linear]).note,
+                        component_ideal([linear, const]).note))
+
+
 class TestColumnCycleType:
     def test_dihedral(self):
         q = dihedral(5).quandle
         for b in range(5):
             assert column_cycle_type(q, b) == (1, 2, 2)
+
+    def test_the_cycle_walk_grid_hashes_as_pinned(self):
+        # any change to a cycle type, a type, a profile, a label or a note shows here
+        text = "\n".join(cycle_walk_fingerprints())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0523d45adc238ad8fa7884113874a85e0dbfcbbc63c67d49cbd5eb0041149c51")
+
+    def test_a_walk_with_a_tail_counts_the_tail_in_its_length(self):
+        # column 0 walks 0 -> 1, where 1 is fixed; no column is a cycle of length 2
+        q = FiniteQuandle([[1, 0, 0], [1, 1, 1], [2, 2, 2]])
+        assert [column_cycle_type(q, b) for b in range(3)] == [(1, 2), (1, 1, 1), (1, 1, 1)]
+        assert type_of(q) == 2
 
 
 class TestJson:
