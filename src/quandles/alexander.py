@@ -143,12 +143,10 @@ def _linear_note(gens) -> Optional[str]:
     linear = [f for f in gl if f.min_exp >= 0 and f.max_exp == 1 and f.coeff(1) == 1]
     if len(consts) != 1 or len(linear) != 1:
         return None
-    m = abs(consts[0].coeff(0))
-    a = linear[0].coeff(0)
-    g = math.gcd(m, 1 + a)
-    if g <= 1:
+    chain = gcd_chain(abs(consts[0].coeff(0)), linear[0].coeff(0)).chain
+    if len(chain) == 1:
         return None
-    return f"ideal equals ({m // g}; {format_poly(linear[0])})"
+    return f"ideal equals ({chain[1]}; {format_poly(linear[0])})"
 
 
 def component_ideal(gens: Iterable[LaurentPoly]) -> ComponentIdeal:

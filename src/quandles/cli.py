@@ -385,9 +385,7 @@ def _cmd_verify(args):
 def _jsonable(value):
     if isinstance(value, (frozenset, set)):
         return sorted(_jsonable(v) for v in value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     return value
 

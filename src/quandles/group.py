@@ -7,8 +7,8 @@ from operator import getitem, itemgetter
 from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
-from .quandle import (AxiomViolation, FiniteQuandle, Partition, _Table, action_generators, orbits,
-                      read_table)
+from .quandle import (AxiomViolation, FiniteQuandle, Partition, _Table, _walks, action_generators,
+                      orbits, read_table)
 
 
 class FiniteGroup(_Table):
@@ -148,24 +148,8 @@ def _first_nonassociative(g: FiniteGroup) -> Optional[AxiomViolation]:
 
 def _cycle_label(perm) -> str:
     """Disjoint cycle notation on 1-based points; the identity is 'e'."""
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        j = perm[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(cyc)
-    if not cycles:
-        return "e"
-    return "".join("(" + " ".join(str(x + 1) for x in cyc) + ")" for cyc in cycles)
+    return "".join("(" + " ".join(str(x + 1) for x in cyc) + ")"
+                   for cyc in _walks(perm) if len(cyc) > 1) or "e"
 
 
 def symmetric_group(n: int) -> FiniteGroup:

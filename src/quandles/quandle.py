@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -299,21 +300,28 @@ def op_pow(q: FiniteQuandle, a: int, n: int, b: int) -> int:
     return cycle[n % len(cycle)]
 
 
+def _walks(f) -> list[list[int]]:
+    """From each point of range(len(f)) not yet reached, in order, the walk
+    x, f[x], f[f[x]], ... up to the first point already reached.  For a
+    permutation these are its cycles, each from its least point; on any
+    other map a walk is a tail and then a cycle."""
+    reached = [False] * len(f)
+    walks = []
+    for x in range(len(f)):
+        if reached[x]:
+            continue
+        walk = []
+        while not reached[x]:
+            reached[x] = True
+            walk.append(x)
+            x = f[x]
+        walks.append(walk)
+    return walks
+
+
 def column_cycle_type(q: FiniteQuandle, b: int) -> tuple[int, ...]:
     """Sorted cycle lengths of the column permutation x -> x * b."""
-    seen = [False] * q.size
-    out = []
-    for start in range(q.size):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = q.table[x][b]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out))
+    return tuple(sorted(map(len, _walks([row[b] for row in q.table]))))
 
 
 def type_of(q: FiniteQuandle) -> int:
@@ -322,11 +330,7 @@ def type_of(q: FiniteQuandle) -> int:
     Equals the lcm of the column permutation orders, which avoids iterating
     over candidate exponents.
     """
-    result = 1
-    for b in range(q.size):
-        for length in column_cycle_type(q, b):
-            result = math.lcm(result, length)
-    return result
+    return functools.reduce(math.lcm, (len(w) for col in zip(*q.table) for w in _walks(col)), 1)
 
 
 def orbits(domain: Iterable[int], moves: Callable[[int], Iterable[int]]) -> Partition:

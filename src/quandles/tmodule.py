@@ -218,8 +218,7 @@ def _stable_kernel_lattice(t_rows, mods):
     least two until it stabilizes, so it settles within log2(order) rounds.
     """
     r = len(mods)
-    diag = _diag_rows(mods)
-    prev = hnf(diag)
+    diag = prev = _diag_rows(mods)
     power = identity(r)
     while True:
         power = _row_reduce(mat_mul(t_rows, power), mods)
@@ -241,11 +240,10 @@ def _invert_action(t_rows, mods):
     if any(d[i][i] != 1 for i in range(r)):
         raise ArithmeticError("t does not act invertibly after saturation")
     inv = _row_reduce(mat_mul(_row_reduce([row[:r] for row in v[:r]], mods), u), mods)
-    for composed in (mat_mul(t_rows, inv), mat_mul(inv, t_rows)):
-        for i in range(r):
-            for j in range(r):
-                if (composed[i][j] - (1 if i == j else 0)) % mods[i]:
-                    raise ArithmeticError("inverse action verification failed")
+    # every modulus is at least 2, so the identity is its own reduction
+    if any(_row_reduce(composed, mods) != identity(r)
+           for composed in (mat_mul(t_rows, inv), mat_mul(inv, t_rows))):
+        raise ArithmeticError("inverse action verification failed")
     return inv
 
 
@@ -260,10 +258,9 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
     n, polys = folded.modulus, folded.polys
     if n == 1:
         return FiniteTModule(pres, a, (), (), (), (), (), False, True)
-    flipped = False
     pick = _monic_pick(polys, n)
-    if pick is None and any(math.gcd(f.coeff(0), n) == 1 for f in polys):
-        flipped = True
+    flipped = pick is None
+    if flipped:
         polys = IdealPresentation(n, [LaurentPoly({-e: c for e, c in f.terms()})
                                       for f in polys]).polys
         pick = _monic_pick(polys, n)
@@ -295,7 +292,7 @@ def build(pres: IdealPresentation) -> "FiniteTModule":
         mods, t_rows, w, one = _quotient_action(deg, gens, t_rows, w, one)
 
     kernel = _stable_kernel_lattice(t_rows, mods)
-    if kernel != hnf(_diag_rows(mods)):
+    if kernel != _diag_rows(mods):
         changed = True
         mods, t_rows, w, one = _quotient_action(len(mods), kernel, t_rows, w, one)
 
@@ -363,8 +360,7 @@ class FiniteTModule:
         basis vectors at most m times.  It is the type of the Alexander
         quandle, since S_b^k(x) = t^k x + (1 - t^k) b is the identity for
         every b exactly when t^k is."""
-        basis = [tuple(int(i == j) % d for j, d in enumerate(self.invariant_factors))
-                 for i in range(self.rank)]
+        basis = list(map(tuple, identity(self.rank)))
         images = [self.t_act(e) for e in basis]
         m = 1
         while images != basis:
