@@ -311,7 +311,6 @@ class TestTableLoading:
         assert run(capsys, verb, "--mcq", str(path), "--unchecked") == (
             3, "", "invalid table: right translations are not bijections\n")
 
-
     def test_unchecked_assoc_axioms_read_the_type_of_a_walk_with_a_tail(self, capsys, tmp_path):
         # column 0 walks 0 -> 1, where 1 is fixed, so the type is 2
         path = tmp_path / "tail.json"

@@ -403,9 +403,9 @@ class TestIsomorphism:
 
 
 def cycle_walk_grid():
-    """20,000 seeded tables of order 1-9, as (columns are bijections, table):
-    every third draws each entry at random, the others a random
-    permutation per column."""
+    """20,000 seeded tables of order 1-9, as (columns drawn as bijections,
+    table): every third draws each entry at random, flagged at order 1
+    only, the others a random permutation per column."""
     rng = random.Random(3607)
     for i in range(20000):
         n = rng.randint(1, 9)
