@@ -6,6 +6,7 @@ import time
 import pytest
 
 from quandles import (
+    MCQ,
     AxiomViolation,
     FiniteGroup,
     FiniteQuandle,
@@ -13,8 +14,10 @@ from quandles import (
     NotASubquandle,
     Partition,
     alexander_quandle,
+    associated_mcq,
     build,
     check_axioms,
+    check_columns,
     check_group,
     check_mcq_axioms,
     column_cycle_type,
@@ -38,7 +41,9 @@ from quandles import (
 from quandles import group, mcq, quandle
 from quandles.laurent import LaurentPoly
 from quandles.quandle import _first_violation, _profile, action_generators
-from quandles.verify import NON_ASSOCIATIVE_LOOP, _product_table, near_quandle, relabelled, transports
+from quandles.verify import (NON_ASSOCIATIVE_LOOP, _product_table, _random_quandle, near_group,
+                             near_quandle, perturbed_product, random_group_table, random_small_mcq,
+                             relabelled, small_group_tables, transports)
 
 
 def label_index(q, name):
@@ -180,6 +185,97 @@ class TestAxioms:
             FiniteQuandle.from_json({"table": [[1, 0], [1, 1]]})
         q = FiniteQuandle.from_json({"table": [[1, 0], [1, 1]]}, check=False)
         assert q.size == 2
+
+    def test_a_collision_in_the_last_column_of_r720(self):
+        # every column before the last is a bijection; 5 * 719 == 6 * 719
+        t = [list(row) for row in dihedral(720).quandle.table]
+        t[5][719] = t[6][719]
+        q = FiniteQuandle(t)
+        assert check_columns(q) == check_axioms(q) == AxiomViolation(
+            "right-invertibility", (5, 6, 719))
+
+
+def _idempotent_bijective_table(rng, n):
+    """Idempotent, each column b a random permutation that fixes b."""
+    cols = []
+    for b in range(n):
+        col = rng.sample([x for x in range(n) if x != b], n - 1)
+        col.insert(b, b)
+        cols.append(col)
+    return [[col[a] for col in cols] for a in range(n)]
+
+
+def witness_grid(cases=600):
+    """Seeded (kind, structure, verdicts) triples.  Quandle tables: near-
+    quandles, random tables, idempotent ones and idempotent ones with
+    bijective columns, in turn.  Groups: near-groups and perturbed products,
+    with the constructor's refusal when there is one.  MCQs: random small
+    ones, one of them with one cell redrawn, and the associated structures
+    of near-quandles up to carrier 36."""
+    rng = random.Random(4099)
+    small = small_group_tables()
+    for i in range(cases):
+        n = rng.randint(1, 8)
+        shape = i % 4
+        if shape == 0:
+            q = near_quandle(rng, _random_quandle(rng, max_size=12))
+        elif shape == 1:
+            q = FiniteQuandle([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        elif shape == 2:
+            q = FiniteQuandle([[a if a == b else rng.randrange(n) for b in range(n)]
+                               for a in range(n)])
+        else:
+            q = FiniteQuandle(_idempotent_bijective_table(rng, n))
+        yield "quandle", q, (check_axioms(q), _first_violation(q), check_columns(q))
+        mult = random_group_table(rng, small)
+        mult = near_group(rng, mult) if i % 2 else perturbed_product(rng, FiniteGroup(mult))
+        try:
+            g = FiniteGroup(mult)
+        except ValueError as exc:
+            yield "group", None, str(exc)
+        else:
+            yield "group", g, (check_group(g), group._first_nonassociative(g))
+        shape = i % 3
+        x = random_small_mcq(rng)
+        if shape == 1:
+            op = [list(row) for row in x.op]
+            op[rng.randrange(x.size)][rng.randrange(x.size)] = rng.randrange(x.size)
+            x = MCQ(x.groups, op)
+        elif shape == 2:
+            while True:
+                q = near_quandle(rng, _random_quandle(rng, max_size=12))
+                if type_of(q) * q.size <= 36:
+                    break
+            x = associated_mcq(q)
+        yield "mcq", x, (check_mcq_axioms(x), mcq._first_violation(x))
+
+
+class TestWitnessGrid:
+    def test_the_witness_grid_hashes_as_pinned(self):
+        # any change to a verdict, an axiom name or a witness shows here
+        texts, reached = [], set()
+        for kind, obj, verdicts in witness_grid():
+            texts.append(repr(verdicts))
+            if obj is None:
+                continue
+            bad = verdicts[1]
+            reached.add((kind, bad.axiom, len(bad.witness)) if bad else (kind, None))
+            if kind == "quandle":
+                reached.add(("columns", verdicts[2].axiom if verdicts[2] else None))
+            if bad and bad.axiom == "product-equivariance":
+                a, b, xx = bad.witness
+                if obj.group_of[obj.op[a][xx]] != obj.group_of[obj.op[b][xx]]:
+                    reached.add(("mcq", "group mismatch"))
+        assert reached >= {
+            ("quandle", "idempotency", 1), ("quandle", "right-invertibility", 3),
+            ("quandle", "self-distributivity", 3), ("quandle", None),
+            ("columns", "right-invertibility"), ("columns", None),
+            ("group", "associativity", 3), ("group", None),
+            ("mcq", "conjugation", 2), ("mcq", "group-action", 2), ("mcq", "group-action", 3),
+            ("mcq", "self-distributivity", 3), ("mcq", "product-equivariance", 3),
+            ("mcq", "group mismatch"), ("mcq", None)}
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "cfd85b34b71aeafa4a5104752a1276361d607626034606a6bb320aa73e5b4f52")
 
 
 class TestBuiltQuandles:
