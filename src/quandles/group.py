@@ -7,8 +7,8 @@ from operator import getitem, itemgetter
 from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
-from .quandle import (AxiomViolation, FiniteQuandle, Partition, _Table, _walks, action_generators,
-                      orbits, read_table)
+from .quandle import (AxiomViolation, FiniteQuandle, Partition, _first_failure, _Table, _walks,
+                      action_generators, orbits, read_table)
 
 
 class FiniteGroup(_Table):
@@ -77,8 +77,9 @@ def check_group(g: FiniteGroup) -> Optional[AxiomViolation]:
     """None for a genuine group, otherwise the failure of associativity.
 
     The verdict is is_associative's.  The witness (a, b, c), the first with
-    (a b) c != a (b c) in scan order, indices increasing, comes from the
-    full scan, which runs only on a table that fails.
+    (a b) c != a (b c) in scan order, indices increasing, comes from the one
+    ordered scan (see quandle._first_failure), which runs only on a table
+    that fails.
     """
     return None if is_associative(g) else _first_nonassociative(g)
 
@@ -136,14 +137,9 @@ def is_associative(g: FiniteGroup) -> bool:
 
 
 def _first_nonassociative(g: FiniteGroup) -> Optional[AxiomViolation]:
-    n = g.size
-    for a in range(n):
-        for b in range(n):
-            ab = g.mult[a][b]
-            for c in range(n):
-                if g.mult[ab][c] != g.mult[a][g.mult[b][c]]:
-                    return AxiomViolation("associativity", (a, b, c))
-    return None
+    m = g.mult
+    return _first_failure("associativity", itertools.product(range(g.size), repeat=3),
+                          lambda a, b, c: m[m[a][b]][c] != m[a][m[b][c]])
 
 
 def _cycle_label(perm) -> str:

@@ -12,6 +12,7 @@ closure follows: * both ways, and the group product inside one group.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from operator import getitem, itemgetter
@@ -19,8 +20,9 @@ from typing import Iterable, Optional, Sequence
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
-from .quandle import (AxiomViolation, FiniteQuandle, Partition, _distributes, _Table,
-                      action_generators, check_axioms, closure, orbits, read_table, type_of)
+from .quandle import (AxiomViolation, FiniteQuandle, Partition, _distributes, _first_failure,
+                      _Table, action_generators, check_axioms, closure, orbits, read_table,
+                      type_of)
 
 
 class MCQ(_Table):
@@ -101,8 +103,9 @@ def check_mcq_axioms(x: MCQ) -> Optional[AxiomViolation]:
     conjugation; acting by an identity is trivial and acting by a product is
     the composite of the actions; the operation is right self-distributive;
     group multiplication is equivariant, with both factors moved into one
-    common group.  The witness is the first in scan order (see
-    _first_violation, which runs only on a structure that fails).
+    common group.  The witness is the first in the one ordered scan, indices
+    increasing (see quandle._first_failure), which runs only on a structure
+    that fails.
 
     The decision uses generating sets: Gamma_lam, the greedy picks of G_lam
     under right multiplication from its identity (see action_generators,
@@ -179,39 +182,25 @@ def _holds(x: MCQ) -> bool:
 
 
 def _first_violation(x: MCQ) -> Optional[AxiomViolation]:
-    op = x.op
-    for lam in range(x.group_count):
-        for a in x.group_range(lam):
-            for b in x.group_range(lam):
-                if op[a][b] != x.gmul(x.gmul(x.ginv(b), a), b):
-                    return AxiomViolation("conjugation", (a, b))
-    for xx in range(x.size):
-        for lam in range(x.group_count):
-            if op[xx][x.identity_of(lam)] != xx:
-                return AxiomViolation("group-action", (xx, x.identity_of(lam)))
-    for xx in range(x.size):
-        for lam in range(x.group_count):
-            for a in x.group_range(lam):
-                for b in x.group_range(lam):
-                    if op[xx][x.gmul(a, b)] != op[op[xx][a]][b]:
-                        return AxiomViolation("group-action", (xx, a, b))
-    for xx in range(x.size):
-        for y in range(x.size):
-            xy = op[xx][y]
-            for z in range(x.size):
-                if op[xy][z] != op[op[xx][z]][op[y][z]]:
-                    return AxiomViolation("self-distributivity", (xx, y, z))
-    for lam in range(x.group_count):
-        for a in x.group_range(lam):
-            for b in x.group_range(lam):
-                ab = x.gmul(a, b)
-                for xx in range(x.size):
-                    ax, bx = op[a][xx], op[b][xx]
-                    if x.group_of[ax] != x.group_of[bx]:
-                        return AxiomViolation("product-equivariance", (a, b, xx))
-                    if op[ab][xx] != x.gmul(ax, bx):
-                        return AxiomViolation("product-equivariance", (a, b, xx))
-    return None
+    op, group_of, gmul = x.op, x.group_of, x.gmul
+    carrier = range(x.size)
+    identities = list(map(x.identity_of, range(x.group_count)))
+    # the pairs (a, b) of one group, group by group
+    pairs = [p for span in map(x.group_range, range(x.group_count))
+             for p in itertools.product(span, repeat=2)]
+    return (_first_failure("conjugation", pairs,
+                           lambda a, b: op[a][b] != gmul(gmul(x.ginv(b), a), b))
+            or _first_failure("group-action", itertools.product(carrier, identities),
+                              lambda xx, e: op[xx][e] != xx)
+            or _first_failure("group-action", ((xx, a, b) for xx in carrier for a, b in pairs),
+                              lambda xx, a, b: op[xx][gmul(a, b)] != op[op[xx][a]][b])
+            or _first_failure("self-distributivity", itertools.product(carrier, repeat=3),
+                              lambda xx, y, z: op[op[xx][y]][z] != op[op[xx][z]][op[y][z]])
+            # gmul refuses factors of two groups, so the groups are compared first
+            or _first_failure("product-equivariance",
+                              ((a, b, xx) for a, b in pairs for xx in carrier),
+                              lambda a, b, xx: group_of[op[a][xx]] != group_of[op[b][xx]]
+                              or op[gmul(a, b)][xx] != gmul(op[a][xx], op[b][xx])))
 
 
 def conjugation_mcq(group: FiniteGroup) -> MCQ:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -206,8 +207,9 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
     """None when the table is a quandle; otherwise the first violation.
 
     Checks idempotency, then column bijectivity, then right
-    self-distributivity; the witness is the first in scan order, indices
-    increasing (see _first_violation, which runs only on a table that fails).
+    self-distributivity; the witness is the first in the one ordered scan,
+    indices increasing (see _first_failure), which runs only on a table that
+    fails.
 
     Deciding the axioms needs self-distributivity only for c in a generating
     set Z of the quandle, n^2 work per generator instead of n^3.  This is
@@ -245,43 +247,34 @@ def _distributes(cols: list[list[int]], zs: Iterable[int], ys: Sequence[int]) ->
     return True
 
 
+def _first_failure(axiom: str, cells: Iterable[tuple[int, ...]],
+                   fails: Callable[..., bool]) -> Optional[AxiomViolation]:
+    """AxiomViolation(axiom, cell) for the first cell, in the order given,
+    at which fails(*cell) holds; None when no cell fails.  The one witness
+    scan of the quandle, group and MCQ axioms: each axiom passes its cells
+    in its scan order and its failure as a predicate."""
+    return next((AxiomViolation(axiom, cell) for cell in cells if fails(*cell)), None)
+
+
 def _first_violation(q: FiniteQuandle) -> Optional[AxiomViolation]:
-    t = q.table
-    n = q.size
-    for a in range(n):
-        if t[a][a] != a:
-            return AxiomViolation("idempotency", (a,))
-    bad = check_columns(q)
-    if bad is not None:
-        return bad
-    for a in range(n):
-        ta = t[a]
-        for b in range(n):
-            ab = ta[b]
-            tb = t[b]
-            tab = t[ab]
-            for c in range(n):
-                if tab[c] != t[ta[c]][tb[c]]:
-                    return AxiomViolation("self-distributivity", (a, b, c))
-    return None
+    t, n = q.table, q.size
+    return (_first_failure("idempotency", ((a,) for a in range(n)), lambda a: t[a][a] != a)
+            or check_columns(q)
+            or _first_failure("self-distributivity", itertools.product(range(n), repeat=3),
+                              lambda a, b, c: t[t[a][b]][c] != t[t[a][c]][t[b][c]]))
 
 
 def check_columns(q: FiniteQuandle) -> Optional[AxiomViolation]:
     """None when every column x -> x * b is a bijection; otherwise the first
-    collision (a, a2, b) with a < a2 and a * b == a2 * b, scanning b first
-    (the scan runs only on a table that fails)."""
-    t = q.table
+    collision (a, a2, b) with a < a2 and a * b == a2 * b, in the first column
+    b that is not a bijection, a2 least.  The ordered scan (see
+    _first_failure) reads that column only, a2 by a2, each with the first a
+    of its image: O(n^2) at worst."""
     n = q.size
-    if all(len(set(col)) == n for col in zip(*t)):
-        return None
-    for b in range(n):
-        hit = [-1] * n
-        for a in range(n):
-            img = t[a][b]
-            if hit[img] != -1:
-                return AxiomViolation("right-invertibility", (hit[img], a, b))
-            hit[img] = a
-    return None
+    return _first_failure("right-invertibility",
+                          ((col.index(col[a2]), a2, b) for b, col in enumerate(zip(*q.table))
+                           if len(set(col)) != n for a2 in range(n)),
+                          lambda a, a2, b: a < a2)
 
 
 def op_pow(q: FiniteQuandle, a: int, n: int, b: int) -> int:

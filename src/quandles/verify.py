@@ -118,9 +118,8 @@ class CheckRow:
         return self.expected == self.computed
 
 
-def _row(group, claim, key_or_value, computed, literal=False):
-    expected = key_or_value if literal else EXPECTED[key_or_value]
-    return CheckRow(group, claim, expected, computed)
+def _row(group, claim, key, computed):
+    return CheckRow(group, claim, EXPECTED[key], computed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +149,9 @@ def _six_cubic_rows() -> list[CheckRow]:
                      frozenset(frozenset(aq.quandle.label(i) for i in block)
                                for block in dec.final)))
     rows.append(_row(g, "refinement depth", "six-cubic-depth", dec.depth))
-    rows.append(_row(g, "component of 0 equals the image of 1-t", True,
-                     sorted(module.elements()[i] for i in comps.block_of(0))
-                     == reference_one_minus_t_image(module), literal=True))
+    rows.append(CheckRow(g, "component of 0 equals the image of 1-t", True,
+                         sorted(module.elements()[i] for i in comps.block_of(0))
+                         == reference_one_minus_t_image(module)))
     return rows
 
 
@@ -164,8 +163,8 @@ def _conj_symmetric_rows() -> list[CheckRow]:
         comps = connected_components(q)
         rows.append(_row(g, f"Conj(S{n}) component sizes", f"{key}-component-sizes",
                          comps.sizes()))
-        rows.append(_row(g, f"Conj(S{n}) components are the conjugacy classes", True,
-                         comps == conjugacy_classes(symmetric_group(n)), literal=True))
+        rows.append(CheckRow(g, f"Conj(S{n}) components are the conjugacy classes", True,
+                             comps == conjugacy_classes(symmetric_group(n))))
         dec = maximal_decomposition(q)
         rows.append(_row(g, f"Conj(S{n}) maximal block sizes", f"{key}-final-sizes",
                          dec.final.sizes()))
@@ -188,8 +187,8 @@ def _dihedral_sweep_rows() -> list[CheckRow]:
         )
         if not ok:
             bad.append(m)
-    return [_row(g, "m = 1..64: 2^l blocks, each a copy of R_k, depth l (m = 2^l k)",
-                 [], bad, literal=True)]
+    return [CheckRow(g, "m = 1..64: 2^l blocks, each a copy of R_k, depth l (m = 2^l k)",
+                     [], bad)]
 
 
 def _linear_grid_rows() -> list[CheckRow]:
@@ -222,9 +221,8 @@ def _linear_grid_rows() -> list[CheckRow]:
             )
             if not ok:
                 bad.append((n0, a))
-    return [_row(g, "n0 = 1..40, a = -10..10: block count, depth and block type "
-                    "match the gcd chain, by refinement and by the (1-t)^k tower",
-                 [], bad, literal=True)]
+    return [CheckRow(g, "n0 = 1..40, a = -10..10: block count, depth and block type "
+                        "match the gcd chain, by refinement and by the (1-t)^k tower", [], bad)]
 
 
 def _eval_classifier_rows() -> list[CheckRow]:
@@ -246,8 +244,7 @@ def _eval_classifier_rows() -> list[CheckRow]:
             classes.setdefault(module.eval_one_class(e), []).append(i)
         if connected_components(aq.quandle) != Partition(classes.values()):
             bad.append(pres.descriptor())
-    return [_row(g, "component partition equals the value-at-1 classification",
-                 [], bad, literal=True)]
+    return [CheckRow(g, "component partition equals the value-at-1 classification", [], bad)]
 
 
 def _component_ideal_rows() -> list[CheckRow]:
@@ -259,14 +256,14 @@ def _component_ideal_rows() -> list[CheckRow]:
     rows.append(_row(g, "augmented ideal of (6; t^2+t+1) has order",
                      "component-ideal-order", module.order))
     explicit = parse_ideal("6; 2t+4; t^2+t+1")
-    rows.append(_row(g, "augmented ideal equals (6; 2t+4; t^2+t+1)", True,
-                     ideals_equal(derived, explicit), literal=True))
+    rows.append(CheckRow(g, "augmented ideal equals (6; 2t+4; t^2+t+1)", True,
+                         ideals_equal(derived, explicit)))
     aq = alexander_quandle(build(parse_ideal(SIX_CUBIC)))
     piece = alexander_quandle(module).quandle
     comps = connected_components(aq.quandle)
-    rows.append(_row(g, "every component is a copy of the augmented quotient", True,
-                     all(find_isomorphism(subquandle(aq.quandle, block), piece) is not None
-                         for block in comps), literal=True))
+    rows.append(CheckRow(g, "every component is a copy of the augmented quotient", True,
+                         all(find_isomorphism(subquandle(aq.quandle, block), piece) is not None
+                             for block in comps)))
     tet = alexander_quandle(build(parse_ideal("2; t^2+t+1")))
     rows.append(_row(g, "the quotient by (2; t^2+t+1) is connected",
                      "tetrahedral-connected", is_connected(tet.quandle)))
@@ -1006,15 +1003,14 @@ def _mcq_rows(seed: int) -> list[CheckRow]:
             if substructure_criteria(x, subset) != (is_sub_mcq(x, subset),) * 3:
                 bad_subsets.append(name)
                 break
-    rows = [
-        _row(g, "associated structures pass all four axioms", [], bad_axioms, literal=True),
-        _row(g, "index orbits match the quandle components", [], bad_orbits, literal=True),
-        _row(g, "maximal carrier partition is the quandle partition times Z_m",
-             [], bad_carrier, literal=True),
-        _row(g, f"substructure criteria agree with is_sub_mcq on {SUBSETS_PER_MCQ} subsets each",
-             [], bad_subsets, literal=True),
+    return [
+        CheckRow(g, "associated structures pass all four axioms", [], bad_axioms),
+        CheckRow(g, "index orbits match the quandle components", [], bad_orbits),
+        CheckRow(g, "maximal carrier partition is the quandle partition times Z_m",
+                 [], bad_carrier),
+        CheckRow(g, f"substructure criteria agree with is_sub_mcq on {SUBSETS_PER_MCQ} "
+                    "subsets each", [], bad_subsets),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
