@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -278,6 +279,16 @@ class TestCrossChecks:
 
 
 class TestAlexanderDecomposition:
+    def test_the_towers_and_components_hash_as_pinned(self):
+        # any change to a level, a block or a depth of a tower or of its components shows here
+        rng = random.Random(3917)
+        modules = _tower_grid() + [random_index_module(rng) for _ in range(1000)]
+        text = "\n".join(repr((alexander_decomposition(module).to_json(),
+                                alexander_components(module).to_json())) for module in modules)
+        assert {module.rank for module in modules} == {0, 1, 2, 3}
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "be895d13e78c9cc9a276a2c8aa962c4662e45bd16fbf32cdf5a994a7081b4aff")
+
     def test_matches_table_refinement(self):
         for module in _tower_grid():
             expected = maximal_decomposition(alexander_quandle(module).quandle)

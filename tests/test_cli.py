@@ -14,7 +14,8 @@ from quandles.decomposition import maximal_decomposition
 from quandles.group import FiniteGroup, conj_quandle, cyclic_group
 from quandles.mcq import MCQ, associated_mcq
 from quandles.quandle import FiniteQuandle, type_of
-from quandles.verify import CHECK_GROUPS, NON_ASSOCIATIVE_LOOP
+from quandles.verify import (CHECK_GROUPS, NON_ASSOCIATIVE_LOOP, _product_table, relabelled,
+                             relabelled_table)
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -912,6 +913,39 @@ class TestAssocOutput:
         # groups of one order keep the one-order header
         assert run(capsys, "assoc", "--dihedral", "3")[1].startswith(
             "3 group(s) of order 2, carrier size 6\n")
+
+
+def _level_one_sources(tmp_path):
+    """One argument list per source kind: a module, a dihedral quandle, S4,
+    a relabelled S3 x C4 group file checked and unchecked, a relabelled
+    Alexander table file, an MCQ file, and --assoc on a module and a table."""
+    rng = random.Random(39)
+    files = {
+        "group": {"mult": relabelled_table(rng, _product_table(symmetric_group(3).mult,
+                                                                 cyclic_group(4).mult))},
+        "table": relabelled(rng, alexander_quandle(build(parse_ideal("24; t+5"))).quandle
+                            ).to_json(),
+        "mcq": associated_mcq(dihedral(12).quandle).to_json(),
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    return [["--alexander", "8; t^3+3t^2+5t+5"], ["--dihedral", "24"], ["--symmetric", "4", "--conj"],
+            ["--group", str(tmp_path / "group.json"), "--conj"],
+            ["--group", str(tmp_path / "group.json"), "--conj", "--unchecked"],
+            ["--table", str(tmp_path / "table.json")], ["--mcq", str(tmp_path / "mcq.json")],
+            ["--alexander", "6; t^2+t+1", "--assoc"], ["--table", str(tmp_path / "table.json"), "--assoc"]]
+
+
+class TestComponentsAreLevelOne:
+    def test_components_are_level_one_of_maxdecomp_for_every_source_kind(self, capsys, tmp_path):
+        for source in _level_one_sources(tmp_path):
+            code, out, _ = run(capsys, "components", *source, "--format", "json")
+            assert code == 0, source
+            blocks = json.loads(out)["blocks"]
+            code, out, _ = run(capsys, "maxdecomp", *source, "--format", "json")
+            assert code == 0, source
+            levels = json.loads(out)["levels"]
+            assert blocks == levels[1] and len(levels) > 2, source
 
 
 class TestDeterminism:

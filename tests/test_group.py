@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,13 +16,15 @@ from quandles import (
     conjugacy_classes,
     connected_components,
     cyclic_group,
+    is_associative,
     maximal_decomposition,
     symmetric_group,
     trivial_quandle,
 )
 from quandles.group import _first_nonassociative
 from quandles.quandle import action_generators
-from quandles.verify import (_dihedral_group_table, _product_table, near_group, perturbed_product,
+from quandles.verify import (NON_ASSOCIATIVE_LOOP, _dihedral_group_table, _product_table, near_group,
+                             perturbed_product,
                              random_group_table, reference_identity_and_inverses,
                              reference_symmetric_table, relabelled_table, small_group_tables)
 
@@ -244,3 +247,38 @@ class TestAssociativityCertificate:
         g = FiniteGroup(table())
         assert _certificate_parts(g) == parts
         assert check_group(g) == _first_nonassociative(g) == witness
+
+
+def associativity_grid(cases=600):
+    """Seeded tables, in turn: groups of order at most 24 (see
+    random_group_table), near-groups, perturbed products and the
+    non-associative loop times a cyclic group of order 1 to 4, relabelled;
+    each with is_associative's verdict, or the constructor's refusal."""
+    rng = random.Random(3911)
+    small = small_group_tables()
+    loops = [_product_table(NON_ASSOCIATIVE_LOOP, cyclic_group(k).mult) for k in range(1, 5)]
+    draws = (lambda: random_group_table(rng, small),
+             lambda: near_group(rng, random_group_table(rng, small)),
+             lambda: perturbed_product(rng, FiniteGroup(random_group_table(rng, small))),
+             lambda: relabelled_table(rng, rng.choice(loops)))
+    for case in range(cases):
+        mult = draws[case % len(draws)]()
+        try:
+            yield mult, is_associative(FiniteGroup(mult))
+        except ValueError as exc:
+            yield mult, str(exc)
+
+
+class TestGroupBytes:
+    def test_the_symmetric_groups_and_associativity_verdicts_hash_as_pinned(self):
+        # any change to a row or a label of S1-S6, or to a verdict, shows here
+        texts = [repr((symmetric_group(k).mult, symmetric_group(k).labels)) for k in range(1, 7)]
+        texts += [repr(draw) for draw in associativity_grid()]
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "32c7e4c15ba63fa1af15f86427b8edd9c7aa4bb50aed2c7f01ec888dbbb3c1a8")
+
+    def test_the_grid_reaches_every_verdict(self):
+        verdicts = [verdict for _, verdict in associativity_grid()]
+        assert {True, False} <= set(verdicts)
+        assert any(isinstance(verdict, str) for verdict in verdicts)
+        assert 200 < verdicts.count(False) < 500
