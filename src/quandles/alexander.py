@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .decomposition import Decomposition
+from .decomposition import Decomposition, _tower
 from .laurent import LaurentPoly, eval_one, format_poly, gcd_vec, split_one_minus_t, syzygy_basis
 from .quandle import FiniteQuandle, Partition
 from .tmodule import FiniteTModule, IdealPresentation, build
@@ -59,51 +59,45 @@ def alexander_decomposition(module: FiniteTModule) -> Decomposition:
     table.  Each coset is one translate of the columns of I_k, so the cost
     is O(rank * order * (depth + 2)) C-level steps.
     """
-    coords, one_minus_t = _coset_frame(module)
-    image = range(module.order)
-    levels = [Partition([image])]
-    while True:
-        # I_{k+1} lies inside I_k, so equal sizes mean equal subgroups
-        smaller = set(map(one_minus_t.__getitem__, image))
-        if len(smaller) == len(image):
-            break
-        image = smaller
-        levels.append(_cosets(module, coords, image))
-    levels.append(levels[-1])
-    return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
+    return _tower(Partition([range(module.order)]), _image_step(module))
 
 
 def alexander_components(module: FiniteTModule) -> Partition:
     """The connected components of the Alexander quandle of a module, the
     cosets of (1 - t) M (the paper's Orb(i)): level 1 of
-    alexander_decomposition, without the levels below it.  There are
+    alexander_decomposition, one step of its tower.  There are
     module.eval_modulus of them."""
-    coords, one_minus_t = _coset_frame(module)
-    return _cosets(module, coords, set(one_minus_t))
+    return _image_step(module)(Partition([range(module.order)]))
 
 
-def _coset_frame(module: FiniteTModule):
-    """The coordinate columns of the elements, and 1 - t as a map on
-    indices."""
+def _image_step(module: FiniteTModule):
+    """The step of the tower: the cosets of I_{k+1} = (1 - t) I_k from the
+    level of cosets of I_k, or that level itself when I_{k+1} = I_k.  I_k is
+    the level's first block, the coset of index 0, the zero element; each
+    coset x + I_{k+1} is one translate of I_{k+1}'s coordinate columns."""
+    coords = module.coordinate_columns()
     one_minus_t = module.translate(module.zero(),
                                    module.coordinate_columns(module.one_minus_t_rows()))
-    return module.coordinate_columns(), one_minus_t
 
+    def step(level: Partition) -> Partition:
+        image = level[0]
+        smaller = set(map(one_minus_t.__getitem__, image))
+        # I_{k+1} lies inside I_k, so equal sizes mean equal subgroups
+        if len(smaller) == len(image):
+            return level
+        sub = [list(map(col.__getitem__, smaller)) for col in coords]
+        seen = bytearray(module.order)
+        blocks = []
+        x = 0
+        while x >= 0:
+            block = module.translate([col[x] for col in coords], sub)
+            for y in block:
+                seen[y] = 1
+            blocks.append(block)
+            x = seen.find(0, x + 1)
+        return Partition(blocks)
 
-def _cosets(module: FiniteTModule, coords, image) -> Partition:
-    """The cosets x + H of the subgroup H, a set of indices, each one
-    translate of H's coordinate columns."""
-    sub = [list(map(col.__getitem__, image)) for col in coords]
-    seen = bytearray(module.order)
-    blocks = []
-    x = 0
-    while x >= 0:
-        block = module.translate([col[x] for col in coords], sub)
-        for y in block:
-            seen[y] = 1
-        blocks.append(block)
-        x = seen.find(0, x + 1)
-    return Partition(blocks)
+    return step
 
 
 def dihedral_presentation(m: int) -> IdealPresentation:

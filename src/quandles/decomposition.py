@@ -33,10 +33,19 @@ class Decomposition:
         }
 
 
+def _tower(start: Partition, step: Callable[[Partition], Partition]) -> Decomposition:
+    """The one level loop of every tower: levels start, step(start), ...
+    up to the first level that step leaves as it is."""
+    levels = [start]
+    while len(levels) < 2 or levels[-1] != levels[-2]:
+        levels.append(step(levels[-1]))
+    return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
+
+
 def iterate_refinement(start: Partition,
                        refine_block: Callable[[tuple[int, ...]], Iterable[Iterable[int]]]
                        ) -> Decomposition:
-    """Iterate block-wise refinement from `start` until a fixed point.
+    """Iterate block-wise refinement from `start` to a fixed point (see _tower).
 
     `refine_block` must return a partition of its block; blocks refine
     independently, so processing order cannot affect the result.  Each round
@@ -44,12 +53,8 @@ def iterate_refinement(start: Partition,
     smaller pieces, so the fixed point comes within (largest block size + 1)
     rounds.
     """
-    levels = [start]
-    while len(levels) < 2 or levels[-1] != levels[-2]:
-        levels.append(Partition(
-            tuple(piece) for block in levels[-1] for piece in refine_block(block)
-        ))
-    return Decomposition(tuple(levels), len(levels) - 2, levels[-1])
+    return _tower(start, lambda level: Partition(
+        tuple(piece) for block in level for piece in refine_block(block)))
 
 
 def maximal_decomposition(q: FiniteQuandle) -> Decomposition:

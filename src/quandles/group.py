@@ -77,9 +77,9 @@ def check_group(g: FiniteGroup) -> Optional[AxiomViolation]:
     """None for a genuine group, otherwise the failure of associativity.
 
     The verdict is is_associative's.  The witness (a, b, c), the first with
-    (a b) c != a (b c) in scan order, indices increasing, comes from the one
-    ordered scan (see quandle._first_failure), which runs only on a table
-    that fails.
+    (a b) c != a (b c) in scan order, indices increasing, comes from a
+    generator of the failing cells (see quandle._first_failure), which runs
+    only on a table that fails.
     """
     return None if is_associative(g) else _first_nonassociative(g)
 
@@ -101,7 +101,8 @@ def is_associative(g: FiniteGroup) -> bool:
     checks then certify every c in S in O(n^2 + |S|^2 n) work, instead of
     n^2 per pick:
 
-    (A) on every tree edge, row(y) is row(z) read through row(p), that is
+    (A) on every tree edge, row(y) is row(z) read through row(p), as the
+        Cayley walk yields it (see _cayley_walk), that is
         (z p) w = z (p w) for all w: L_y = L_z L_p for the left translations
         L_x: w -> x w, so by induction along the tree, from L_e = id, every
         L_x is a composite of the L_s, s in S;
@@ -117,16 +118,8 @@ def is_associative(g: FiniteGroup) -> bool:
     # (p, row(p) as an itemgetter that reads a row through it); there are
     # no picks on one element, where a one-entry itemgetter gives no tuple
     through = [(p, itemgetter(*m[p])) for p in picks]
-    walk, reached = [e], {e}
-    for z in walk:
-        row = m[z]
-        for p, through_p in through:
-            y = row[p]
-            if y not in reached:
-                if m[y] != through_p(row):  # (A)
-                    return False
-                reached.add(y)
-                walk.append(y)
+    if any(m[y] != row for y, row in _cayley_walk(e, through, m)):  # (A)
+        return False
     for c in picks:
         col = [row[c] for row in m]
         through_col = itemgetter(*col)
@@ -136,10 +129,28 @@ def is_associative(g: FiniteGroup) -> bool:
     return True
 
 
+def _cayley_walk(e: int, gens, rows):
+    """The breadth-first Cayley walk from the identity e along z -> z s, for
+    (s, row(s) as an itemgetter) in gens: each y != e first reached, by the
+    edge y = z s, with row(z) read through row(s), row(y) in a group.  Row z
+    is rows[z], read after z is yielded, so a caller may fill rows from it."""
+    walk, reached = [e], {e}
+    for z in walk:
+        row = rows[z]
+        for s, through in gens:
+            y = row[s]
+            if y not in reached:
+                reached.add(y)
+                walk.append(y)
+                yield y, through(row)
+
+
 def _first_nonassociative(g: FiniteGroup) -> Optional[AxiomViolation]:
     m = g.mult
-    return _first_failure("associativity", itertools.product(range(g.size), repeat=3),
-                          lambda a, b, c: m[m[a][b]][c] != m[a][m[b][c]])
+    # (a b) c == a (b c) reads row a b against rows a and b
+    return _first_failure("associativity", (
+        (a, b, c) for a, ra in enumerate(m) for b, rb in enumerate(m)
+        for c, (ab_c, bc) in enumerate(zip(m[ra[b]], rb)) if ab_c != ra[bc]))
 
 
 def _cycle_label(perm) -> str:
@@ -157,9 +168,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     factorially and everything downstream is meant for desk-scale objects.
 
     Only the rows of two generators are composed from permutations: the
-    n-cycle (1 2 ... n) and the transposition (1 2).  The other rows follow
-    in breadth-first order from the identity row: if b = a s, then
-    b x = a (s x), so row(b) is row(a) read through row(s).
+    n-cycle (1 2 ... n) and the transposition (1 2).  The other rows are
+    filled from the Cayley walk from the identity row (see _cayley_walk):
+    if b = a s, then b x = a (s x), so row(b) is row(a) read through row(s).
     """
     if not 1 <= n <= 6:
         raise ValueError("supported degrees are 1..6")
@@ -170,18 +181,10 @@ def symmetric_group(n: int) -> FiniteGroup:
     # one-entry itemgetter gives no tuple, but S_1 reads no row, having one
     gens = [(index[s], itemgetter(*(index[tuple(map(q.__getitem__, s))] for q in perms)))
             for s in (points[1:] + points[:1], points[1::-1] + points[2:])]
-    rows = [None] * len(perms)
-    rows[0] = tuple(range(len(perms)))
-    order = [0]
-    for a in order:
-        row = rows[a]
-        for s, through in gens:
-            b = row[s]
-            if rows[b] is None:
-                rows[b] = through(row)
-                order.append(b)
-    labels = [_cycle_label(p) for p in perms]
-    return FiniteGroup._built(rows, 0, labels)
+    rows = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
+    for b, row in _cayley_walk(0, gens, rows):
+        rows[b] = row
+    return FiniteGroup._built(rows, 0, [_cycle_label(p) for p in perms])
 
 
 def cyclic_group(n: int) -> FiniteGroup:

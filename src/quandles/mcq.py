@@ -103,9 +103,9 @@ def check_mcq_axioms(x: MCQ) -> Optional[AxiomViolation]:
     conjugation; acting by an identity is trivial and acting by a product is
     the composite of the actions; the operation is right self-distributive;
     group multiplication is equivariant, with both factors moved into one
-    common group.  The witness is the first in the one ordered scan, indices
-    increasing (see quandle._first_failure), which runs only on a structure
-    that fails.
+    common group.  The witness is the first failing cell, indices
+    increasing, each axiom's scan a generator of its failing cells in order
+    (see quandle._first_failure), which runs only on a structure that fails.
 
     The decision uses generating sets: Gamma_lam, the greedy picks of G_lam
     under right multiplication from its identity (see action_generators,
@@ -144,10 +144,7 @@ def _holds(x: MCQ) -> bool:
     cols = [list(col) for col in zip(*op)]
     group_of = list(x.group_of)
     carrier = list(range(x.size))
-    # the group product in carrier indices: gmul(a, b) == grows[a][local[b]]
-    local = [i - x.offsets[lam] for i, lam in enumerate(group_of)]
-    grows = [[x.offsets[lam] + v for v in x.groups[lam].mult[local[a]]]
-             for a, lam in enumerate(group_of)]
+    local, grows = _group_rows(x)
     gammas = []
     for lam in range(x.group_count):
         span = x.group_range(lam)
@@ -181,26 +178,37 @@ def _holds(x: MCQ) -> bool:
                         [y for gamma in gammas for y in gamma])
 
 
+def _group_rows(x: MCQ) -> tuple[list[int], list[list[int]]]:
+    """gmul(a, b) == grows[a][local[b]], local[b] being b's index in its group."""
+    local = [i - x.offsets[lam] for i, lam in enumerate(x.group_of)]
+    grows = [[x.offsets[lam] + v for v in x.groups[lam].mult[local[a]]]
+             for a, lam in enumerate(x.group_of)]
+    return local, grows
+
+
 def _first_violation(x: MCQ) -> Optional[AxiomViolation]:
-    op, group_of, gmul = x.op, x.group_of, x.gmul
-    carrier = range(x.size)
+    op, group_of = x.op, x.group_of
+    local, grows = _group_rows(x)
+    inv = [x.offsets[lam] + v for lam, g in enumerate(x.groups) for v in g.inv]
     identities = list(map(x.identity_of, range(x.group_count)))
-    # the pairs (a, b) of one group, group by group
-    pairs = [p for span in map(x.group_range, range(x.group_count))
-             for p in itertools.product(span, repeat=2)]
-    return (_first_failure("conjugation", pairs,
-                           lambda a, b: op[a][b] != gmul(gmul(x.ginv(b), a), b))
-            or _first_failure("group-action", itertools.product(carrier, identities),
-                              lambda xx, e: op[xx][e] != xx)
-            or _first_failure("group-action", ((xx, a, b) for xx in carrier for a, b in pairs),
-                              lambda xx, a, b: op[xx][gmul(a, b)] != op[op[xx][a]][b])
-            or _first_failure("self-distributivity", itertools.product(carrier, repeat=3),
-                              lambda xx, y, z: op[op[xx][y]][z] != op[op[xx][z]][op[y][z]])
-            # gmul refuses factors of two groups, so the groups are compared first
-            or _first_failure("product-equivariance",
-                              ((a, b, xx) for a, b in pairs for xx in carrier),
-                              lambda a, b, xx: group_of[op[a][xx]] != group_of[op[b][xx]]
-                              or op[gmul(a, b)][xx] != gmul(op[a][xx], op[b][xx])))
+    # the pairs (a, b) of one group, group by group, with their product a b
+    pairs = [(a, b, grows[a][local[b]]) for span in map(x.group_range, range(x.group_count))
+             for a, b in itertools.product(span, repeat=2)]
+    return (_first_failure("conjugation", (
+                (a, b) for a, b, _ in pairs if op[a][b] != grows[grows[inv[b]][local[a]]][local[b]]))
+            or _first_failure("group-action", (
+                (xx, e) for xx, row in enumerate(op) for e in identities if row[e] != xx))
+            or _first_failure("group-action", (
+                (xx, a, b) for xx, row in enumerate(op) for a, b, ab in pairs
+                if row[ab] != op[row[a]][b]))
+            or _first_failure("self-distributivity", (
+                (xx, y, z) for xx, rx in enumerate(op) for y, ry in enumerate(op)
+                for z, (xy_z, xz, yz) in enumerate(zip(op[rx[y]], rx, ry)) if xy_z != op[xz][yz]))
+            # a * x and b * x have a product only in one group, so the groups are compared first
+            or _first_failure("product-equivariance", (
+                (a, b, xx) for a, b, ab in pairs
+                for xx, (ax, bx, ab_x) in enumerate(zip(op[a], op[b], op[ab]))
+                if group_of[ax] != group_of[bx] or ab_x != grows[ax][local[bx]])))
 
 
 def conjugation_mcq(group: FiniteGroup) -> MCQ:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -55,16 +54,8 @@ class Partition(tuple):
 
     def refines(self, other: "Partition") -> bool:
         """Every block here sits inside a single block of `other`."""
-        owner = {}
-        for i, b in enumerate(other):
-            for x in b:
-                owner[x] = i
-        for b in self:
-            if any(x not in owner for x in b):
-                return False
-            if len({owner[x] for x in b}) != 1:
-                return False
-        return True
+        owner = {x: i for i, b in enumerate(other) for x in b}
+        return all(b[0] in owner and len({owner.get(x) for x in b}) == 1 for b in self)
 
     def __repr__(self):
         return f"Partition({self.to_json()})"
@@ -207,9 +198,9 @@ def check_axioms(q: FiniteQuandle) -> Optional[AxiomViolation]:
     """None when the table is a quandle; otherwise the first violation.
 
     Checks idempotency, then column bijectivity, then right
-    self-distributivity; the witness is the first in the one ordered scan,
-    indices increasing (see _first_failure), which runs only on a table that
-    fails.
+    self-distributivity; the witness is the first failing cell, indices
+    increasing, each scan a generator of the failing cells in order (see
+    _first_failure), which runs only on a table that fails.
 
     Deciding the axioms needs self-distributivity only for c in a generating
     set Z of the quandle, n^2 work per generator instead of n^3.  This is
@@ -247,34 +238,35 @@ def _distributes(cols: list[list[int]], zs: Iterable[int], ys: Sequence[int]) ->
     return True
 
 
-def _first_failure(axiom: str, cells: Iterable[tuple[int, ...]],
-                   fails: Callable[..., bool]) -> Optional[AxiomViolation]:
-    """AxiomViolation(axiom, cell) for the first cell, in the order given,
-    at which fails(*cell) holds; None when no cell fails.  The one witness
-    scan of the quandle, group and MCQ axioms: each axiom passes its cells
-    in its scan order and its failure as a predicate."""
-    return next((AxiomViolation(axiom, cell) for cell in cells if fails(*cell)), None)
+def _first_failure(axiom: str, failing: Iterable[tuple[int, ...]]) -> Optional[AxiomViolation]:
+    """AxiomViolation(axiom, cell) for the first of the failing cells, None
+    when there is none.  The one witness scan of the quandle, group and MCQ
+    axioms: each axiom passes a generator of its failing cells in scan order,
+    its failure condition written inline, so no scan makes a call per cell."""
+    return next((AxiomViolation(axiom, cell) for cell in failing), None)
 
 
 def _first_violation(q: FiniteQuandle) -> Optional[AxiomViolation]:
-    t, n = q.table, q.size
-    return (_first_failure("idempotency", ((a,) for a in range(n)), lambda a: t[a][a] != a)
+    t = q.table
+    # (a * b) * c == (a * c) * (b * c) reads row a * b against rows a and b
+    return (_first_failure("idempotency", ((a,) for a, row in enumerate(t) if row[a] != a))
             or check_columns(q)
-            or _first_failure("self-distributivity", itertools.product(range(n), repeat=3),
-                              lambda a, b, c: t[t[a][b]][c] != t[t[a][c]][t[b][c]]))
+            or _first_failure("self-distributivity", (
+                (a, b, c) for a, ra in enumerate(t) for b, rb in enumerate(t)
+                for c, (ab_c, ac, bc) in enumerate(zip(t[ra[b]], ra, rb)) if ab_c != t[ac][bc])))
 
 
 def check_columns(q: FiniteQuandle) -> Optional[AxiomViolation]:
     """None when every column x -> x * b is a bijection; otherwise the first
     collision (a, a2, b) with a < a2 and a * b == a2 * b, in the first column
-    b that is not a bijection, a2 least.  The ordered scan (see
-    _first_failure) reads that column only, a2 by a2, each with the first a
-    of its image: O(n^2) at worst."""
+    b that is not a bijection, a2 least.  The failing cells (see
+    _first_failure) come from that column only, each entry a2 with first[v],
+    the first index of its value v (written last, from the end): O(n)."""
     n = q.size
-    return _first_failure("right-invertibility",
-                          ((col.index(col[a2]), a2, b) for b, col in enumerate(zip(*q.table))
-                           if len(set(col)) != n for a2 in range(n)),
-                          lambda a, a2, b: a < a2)
+    return _first_failure("right-invertibility", (
+        (first[v], a2, b) for b, col in enumerate(zip(*q.table)) if len(set(col)) != n
+        for first in [dict(zip(reversed(col), range(n - 1, -1, -1)))]
+        for a2, v in enumerate(col) if first[v] < a2))
 
 
 def op_pow(q: FiniteQuandle, a: int, n: int, b: int) -> int:
@@ -454,16 +446,8 @@ def subquandle(q: FiniteQuandle, elements: Iterable[int]) -> FiniteQuandle:
 
 def _profile(q: FiniteQuandle):
     """Per element: component size, column cycle type, row fixed-point count."""
-    comp = connected_components(q)
-    size_of = {}
-    for block in comp:
-        for x in block:
-            size_of[x] = len(block)
-    out = []
-    for a in range(q.size):
-        fixed_row = sum(1 for b in range(q.size) if q.table[a][b] == a)
-        out.append((size_of[a], column_cycle_type(q, a), fixed_row))
-    return out
+    size_of = {x: len(block) for block in connected_components(q) for x in block}
+    return [(size_of[a], column_cycle_type(q, a), row.count(a)) for a, row in enumerate(q.table)]
 
 
 class _Mismatch(Exception):
