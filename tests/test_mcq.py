@@ -202,6 +202,14 @@ class TestAxioms:
         assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
             "product-equivariance", (0, 0, 3))
 
+    def test_equivariance_fails_first_at_a_group_mismatch(self):
+        # Z_2 + Z_1 + Z_2; 3 * 1 == 2 and 4 * 1 == 4 lie in different groups, so
+        # (3 4) * 1 has no product of the two to equal
+        op = [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [2, 3, 2, 2, 2], [3, 2, 3, 3, 3], [4, 4, 4, 4, 4]]
+        x = MCQ((cyclic_group(2), cyclic_group(1), cyclic_group(2)), op)
+        assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
+            "product-equivariance", (3, 4, 1))
+
     def test_an_action_that_fails_only_at_the_second_pick(self, later_gamma_pick_mcq):
         x = later_gamma_pick_mcq
         assert (check_mcq_axioms(x) == _first_violation(x)
