@@ -202,6 +202,12 @@ class TestAxioms:
         assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
             "product-equivariance", (0, 0, 3))
 
+    def test_a_trivial_group_whose_identity_moves_an_element(self):
+        # Z_1 + Z_1 with 1 * 0 == 0: only the identity action refuses it
+        x = MCQ((cyclic_group(1), cyclic_group(1)), [[0, 0], [0, 1]])
+        assert check_mcq_axioms(x) == _first_violation(x) == AxiomViolation(
+            "group-action", (1, 0))
+
     def test_equivariance_fails_first_at_a_group_mismatch(self):
         # Z_2 + Z_1 + Z_2; 3 * 1 == 2 and 4 * 1 == 4 lie in different groups, so
         # (3 4) * 1 has no product of the two to equal

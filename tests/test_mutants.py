@@ -60,6 +60,18 @@ def equivariance_mismatch():
     test_mcq.TestAxioms().test_equivariance_fails_first_at_a_group_mismatch()
 
 
+def identity_that_moves_an_element():
+    test_mcq.TestAxioms().test_a_trivial_group_whose_identity_moves_an_element()
+
+
+def self_distributive_but_not_equivariant():
+    test_mcq.TestAxioms().test_self_distributive_but_not_equivariant()
+
+
+def non_idempotent_singleton():
+    test_mcq.TestSubMcq().test_non_idempotent_singleton()
+
+
 def sixty_four_dihedral():
     test_alexander.TestAlexanderDecomposition().test_sixty_four_dihedral()
 
@@ -118,6 +130,14 @@ MUTANTS = {
     "distributivity-on-the-first-y-only": Mutant(
         quandle, "_distributes", "for y in ys:", "for y in ys[:1]:",
         no_failures(verify.suite_axiom_generators, 40)),
+    "mcq-certificate-without-the-identity-column": Mutant(
+        mcq, "_holds", "if cols[e] != carrier:", "if False:", identity_that_moves_an_element),
+    "mcq-certificate-without-product-equivariance": Mutant(
+        mcq, "_holds", "if op[x.gmul(a, b)] != list(", "if False and op[x.gmul(a, b)] != list(",
+        self_distributive_but_not_equivariant),
+    "sub-mcq-without-the-group-products": Mutant(
+        mcq, "_sub_mcq_products", "return op[a][b], op[b][a], x.gmul(a, b), x.gmul(b, a)",
+        "return op[a][b], op[b][a]", non_idempotent_singleton),
     "orbits-without-the-overlap-check": Mutant(
         quandle, "orbits", "if not seen.isdisjoint(block):", "if False:",
         overlapping_index_orbits),
