@@ -25,12 +25,15 @@ from quandles import (
     conj_components,
     conj_quandle,
     conjugacy_classes,
+    conjugation_mcq,
     connected_components,
     cyclic_group,
     dihedral,
     find_isomorphism,
+    generated_sub_mcq,
     generated_subquandle,
     is_connected,
+    lambda_orbits,
     op_pow,
     parse_ideal,
     subquandle,
@@ -397,6 +400,102 @@ class TestComponents:
         for block in connected_components(conj_s4):
             sub = subquandle(conj_s4, block)  # raises if not closed
             assert sub.size == len(block)
+
+
+def _outcome(f, *args):
+    """f(*args), sets sorted, or the name of the refusal's type."""
+    try:
+        got = f(*args)
+    except ValueError as exc:
+        return type(exc).__name__
+    return sorted(got) if isinstance(got, frozenset) else got
+
+
+def _ambients(rng, size, blocks):
+    """A block of the given partition (when there is one), a random subset,
+    and the whole set in a shuffled order."""
+    picked = [rng.choice(blocks)] if isinstance(blocks, Partition) else []
+    whole = list(range(size))
+    rng.shuffle(whole)
+    return picked + [rng.sample(range(size), rng.randint(1, size)), whole]
+
+
+def reach_grid(cases=600):
+    """Seeded records of everything that grows a set by orbits, closures or
+    greedy spans.  Quandle tables (quandles, near-quandles, random tables
+    and idempotent ones with bijective columns, in turn): components on the
+    whole set and on ambient sets, generated subquandles, and the picks of
+    x -> x * p from no start and from a random start, over the elements in
+    order and shuffled.  Groups: conjugation components on the whole group
+    and on ambient sets, and the group picks.  MCQs (random small ones,
+    whose index orbits may overlap, associated structures and conjugation
+    MCQs, in turn): index orbits on the whole index set and on subsets,
+    generated substructures, and the Gamma and Z picks."""
+    rng = random.Random(4057)
+    small = small_group_tables()
+    for i in range(cases):
+        shape = i % 4
+        n = rng.randint(1, 8)
+        if shape == 0:
+            q = _random_quandle(rng, max_size=24)
+        elif shape == 1:
+            q = near_quandle(rng, _random_quandle(rng, max_size=16))
+        elif shape == 2:
+            q = FiniteQuandle([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        else:
+            q = FiniteQuandle(_idempotent_bijective_table(rng, n))
+        t, whole = q.table, _outcome(connected_components, q)
+        seeds = rng.sample(range(q.size), min(q.size, rng.randint(1, 3)))
+        start = rng.sample(range(q.size), rng.randint(0, min(q.size, 2)))
+        order = rng.sample(range(q.size), q.size)
+        yield ("quandle", whole,
+               [_outcome(connected_components, q, amb) for amb in _ambients(rng, q.size, whole)],
+               _outcome(generated_subquandle, q, seeds),
+               [action_generators(elements, begin, lambda x, p: t[x][p])
+                for elements in (range(q.size), order) for begin in ((), start)])
+        g = FiniteGroup(random_group_table(rng, small) if i % 2 else
+                        symmetric_group(rng.randint(1, 4)).mult)
+        m, classes = g.mult, _outcome(conj_components, g)
+        yield ("group", classes,
+               [_outcome(conj_components, g, amb) for amb in _ambients(rng, g.size, classes)],
+               action_generators(range(g.size), (g.identity,), lambda x, p: m[x][p]))
+        shape = i % 3
+        if shape == 0:
+            x = random_small_mcq(rng)
+        elif shape == 1:
+            q = _random_quandle(rng, max_size=8)
+            x = associated_mcq(q) if type_of(q) * q.size <= 48 else conjugation_mcq(g)
+        else:
+            x = conjugation_mcq(g)
+        op, orbits = x.op, _outcome(lambda_orbits, x)
+        seeds = rng.sample(range(x.size), min(x.size, rng.randint(1, 3)))
+
+        def act(y, p):  # the group product inside one group, * across groups
+            return x.gmul(y, p) if x.group_of[y] == x.group_of[p] else op[y][p]
+
+        yield ("mcq", orbits,
+               [_outcome(lambda_orbits, x, lams)
+                for lams in _ambients(rng, x.group_count, orbits)],
+               _outcome(generated_sub_mcq, x, seeds),
+               [action_generators(x.group_range(lam), (x.identity_of(lam),), x.gmul)
+                for lam in range(x.group_count)],
+               action_generators(range(x.size), (), act))
+
+
+class TestReachGrid:
+    def test_the_reach_grid_hashes_as_pinned(self):
+        # any change to an orbit, a closure, a pick or a refusal's type shows here
+        texts, reached = [], set()
+        for kind, whole, parts, *rest in reach_grid():
+            texts.append(repr((kind, whole, parts, *rest)))
+            reached.update((kind, type(o).__name__ if isinstance(o, Partition) else o)
+                           for o in [whole, *parts])
+        assert reached >= {
+            ("quandle", "Partition"), ("quandle", "NotASubquandle"), ("quandle", "InvalidTable"),
+            ("group", "Partition"), ("group", "NotASubquandle"),
+            ("mcq", "Partition"), ("mcq", "NotASubquandle"), ("mcq", "InvalidTable")}
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "1cc6b733403ec4dc44abc870d7e133607cdc6948d37e32dad2d1445ea14e1d56")
 
 
 class TestInnerMapsAreAutomorphisms:
