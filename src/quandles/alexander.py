@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from .decomposition import Decomposition, _tower
 from .laurent import LaurentPoly, eval_one, format_poly, gcd_vec, split_one_minus_t, syzygy_basis
-from .quandle import FiniteQuandle, Partition
+from .quandle import FiniteQuandle, Partition, _whole
 from .tmodule import FiniteTModule, IdealPresentation, build
 
 
@@ -59,7 +59,7 @@ def alexander_decomposition(module: FiniteTModule) -> Decomposition:
     table.  Each coset is one translate of the columns of I_k, so the cost
     is O(rank * order * (depth + 2)) C-level steps.
     """
-    return _tower(Partition([range(module.order)]), _image_step(module))
+    return _tower(_whole(module.order), _image_step(module))
 
 
 def alexander_components(module: FiniteTModule) -> Partition:
@@ -67,7 +67,7 @@ def alexander_components(module: FiniteTModule) -> Partition:
     cosets of (1 - t) M (the paper's Orb(i)): level 1 of
     alexander_decomposition, one step of its tower.  There are
     module.eval_modulus of them."""
-    return _image_step(module)(Partition([range(module.order)]))
+    return _image_step(module)(_whole(module.order))
 
 
 def _image_step(module: FiniteTModule):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .quandle import FiniteQuandle, Partition, connected_components
+from .quandle import FiniteQuandle, Partition, _whole, connected_components
 
 
 @dataclass(frozen=True)
@@ -59,5 +59,4 @@ def iterate_refinement(start: Partition,
 
 def maximal_decomposition(q: FiniteQuandle) -> Decomposition:
     """The maximal connected subquandle decomposition, with the full tower."""
-    start = Partition([range(q.size)])
-    return iterate_refinement(start, lambda block: connected_components(q, block))
+    return iterate_refinement(_whole(q.size), lambda block: connected_components(q, block))

@@ -7,8 +7,8 @@ from operator import getitem, itemgetter
 from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
-from .quandle import (AxiomViolation, FiniteQuandle, Partition, _first_failure, _Table, _walks,
-                      action_generators, orbits, read_table)
+from .quandle import (AxiomViolation, FiniteQuandle, Partition, _first_failure, _Table, _reader,
+                      _walks, _whole, action_generators, orbits, read_table)
 
 
 class FiniteGroup(_Table):
@@ -115,14 +115,12 @@ def is_associative(g: FiniteGroup) -> bool:
     """
     m, e = g.mult, g.identity
     picks = action_generators(range(g.size), (e,), lambda x, p: m[x][p])
-    # (p, row(p) as an itemgetter that reads a row through it); there are
-    # no picks on one element, where a one-entry itemgetter gives no tuple
-    through = [(p, itemgetter(*m[p])) for p in picks]
+    through = [(p, _reader(m[p])) for p in picks]  # (p, the reader of a row through row(p))
     if any(m[y] != row for y, row in _cayley_walk(e, through, m)):  # (A)
         return False
     for c in picks:
         col = [row[c] for row in m]
-        through_col = itemgetter(*col)
+        through_col = _reader(col)
         # row s: w -> (s w) c reads col through row s, w -> s (w c) reads row s through col
         if any(through_s(col) != through_col(m[s]) for s, through_s in through):  # (B)
             return False
@@ -131,9 +129,10 @@ def is_associative(g: FiniteGroup) -> bool:
 
 def _cayley_walk(e: int, gens, rows):
     """The breadth-first Cayley walk from the identity e along z -> z s, for
-    (s, row(s) as an itemgetter) in gens: each y != e first reached, by the
-    edge y = z s, with row(z) read through row(s), row(y) in a group.  Row z
-    is rows[z], read after z is yielded, so a caller may fill rows from it."""
+    (s, the reader of a row through row(s)) in gens: each y != e first
+    reached, by the edge y = z s, with row(z) read through row(s), row(y) in
+    a group.  Row z is rows[z], read after z is yielded, so a caller may
+    fill rows from it."""
     walk, reached = [e], {e}
     for z in walk:
         row = rows[z]
@@ -177,9 +176,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     points = tuple(range(n))
-    # (index of s, row(s) as an itemgetter that reads a row through it); a
-    # one-entry itemgetter gives no tuple, but S_1 reads no row, having one
-    gens = [(index[s], itemgetter(*(index[tuple(map(q.__getitem__, s))] for q in perms)))
+    gens = [(index[s], _reader([index[tuple(map(q.__getitem__, s))] for q in perms]))
             for s in (points[1:] + points[:1], points[1::-1] + points[2:])]
     rows = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
     for b, row in _cayley_walk(0, gens, rows):
@@ -256,5 +253,5 @@ def conj_decomposition(g: FiniteGroup) -> Decomposition:
     """maximal_decomposition(conj_quandle(g)) from the multiplication rows,
     each block refined by conj_components, the whole group by its group
     picks; the components, levels[1], are the conjugacy classes."""
-    return iterate_refinement(Partition([range(g.size)]), lambda block: conj_components(
+    return iterate_refinement(_whole(g.size), lambda block: conj_components(
         g, None if len(block) == g.size else block))

@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
 from .quandle import (AxiomViolation, FiniteQuandle, Partition, _distributes, _first_failure,
-                      _Table, action_generators, check_axioms, closure, orbits, read_table,
-                      type_of)
+                      _reader, _Table, _whole, action_generators, check_axioms, closure, orbits,
+                      read_table, type_of)
 
 
 class MCQ(_Table):
@@ -144,52 +144,54 @@ def _holds(x: MCQ) -> bool:
     cols = [list(col) for col in zip(*op)]
     group_of = list(x.group_of)
     carrier = list(range(x.size))
-    local, grows = _group_rows(x)
-    gammas = []
+    local, grows, inv = _group_rows(x)
+    gammas = []  # the union of the Gamma_lam
     for lam in range(x.group_count):
         span = x.group_range(lam)
-        if any(op[a][b] != x.gmul(x.gmul(x.ginv(b), a), b) for a in span for b in span):
+        # a * b == b^-1 a b
+        if any(op[a][b] != grows[grows[inv[b]][local[a]]][local[b]] for a in span for b in span):
             return False
         e = x.identity_of(lam)
         if cols[e] != carrier:
             return False
-        gammas.append(action_generators(span, (e,), x.gmul))
-    for lam, gamma in enumerate(gammas):
-        span = x.group_range(lam)
+        gamma = action_generators(span, (e,), lambda y, p: grows[y][local[p]])
+        gammas += gamma
         for b in gamma:
             for a in span:
                 # x * (a b) == (x * a) * b for every x
-                if cols[x.gmul(a, b)] != list(map(cols[b].__getitem__, cols[a])):
+                if cols[grows[a][local[b]]] != list(map(cols[b].__getitem__, cols[a])):
                     return False
-        for b in (*gamma, x.identity_of(lam)):
+        for b in (*gamma, e):
             groups_b = list(map(group_of.__getitem__, op[b]))
             local_b = list(map(local.__getitem__, op[b]))
             for a in span:
                 # (a b) * x == (a * x)(b * x), both factors in one group, for every x
                 if list(map(group_of.__getitem__, op[a])) != groups_b:
                     return False
-                if op[x.gmul(a, b)] != list(map(getitem, map(grows.__getitem__, op[a]), local_b)):
+                if op[grows[a][local[b]]] != list(map(getitem, map(grows.__getitem__, op[a]),
+                                                      local_b)):
                     return False
 
     def act(y, p):  # the group product inside one group, * across groups
         return grows[y][local[p]] if group_of[y] == group_of[p] else op[y][p]
 
-    return _distributes(cols, action_generators(carrier, (), act),
-                        [y for gamma in gammas for y in gamma])
+    return _distributes(cols, action_generators(carrier, (), act), gammas)
 
 
-def _group_rows(x: MCQ) -> tuple[list[int], list[list[int]]]:
-    """gmul(a, b) == grows[a][local[b]], local[b] being b's index in its group."""
+def _group_rows(x: MCQ) -> tuple[list[int], list[list[int]], list[int]]:
+    """The group products and inverses in carrier indices: gmul(a, b) ==
+    grows[a][local[b]], local[b] being b's index in its group, and
+    ginv(a) == inv[a]."""
     local = [i - x.offsets[lam] for i, lam in enumerate(x.group_of)]
     grows = [[x.offsets[lam] + v for v in x.groups[lam].mult[local[a]]]
              for a, lam in enumerate(x.group_of)]
-    return local, grows
+    inv = [x.offsets[lam] + v for lam, g in enumerate(x.groups) for v in g.inv]
+    return local, grows, inv
 
 
 def _first_violation(x: MCQ) -> Optional[AxiomViolation]:
     op, group_of = x.op, x.group_of
-    local, grows = _group_rows(x)
-    inv = [x.offsets[lam] + v for lam, g in enumerate(x.groups) for v in g.inv]
+    local, grows, inv = _group_rows(x)
     identities = list(map(x.identity_of, range(x.group_count)))
     # the pairs (a, b) of one group, group by group, with their product a b
     pairs = [(a, b, grows[a][local[b]]) for span in map(x.group_range, range(x.group_count))
@@ -256,13 +258,6 @@ def _pair_rows(q: FiniteQuandle, m: int, cells: list):
     return (row for read in map(_reader, zip(*entries)) for row in map(read, shifts))
 
 
-def _reader(row: Sequence[int]):
-    """itemgetter(*row), which also gives a tuple for a row of one entry."""
-    if len(row) == 1:
-        return lambda cells, i=row[0]: (cells[i],)
-    return itemgetter(*row)
-
-
 def _json_text(groups: list, labels, rows: Iterable[Sequence[str]]) -> str:
     """json.dumps of a structure's fields, sort_keys=True, with its op rows
     given as the texts of their entries."""
@@ -314,9 +309,8 @@ def lambda_orbits(x: MCQ, lambda_subset: Iterable[int] | None = None) -> Partiti
     always do.
     """
     lams = range(x.group_count) if lambda_subset is None else sorted(set(lambda_subset))
-    gens = [a for lam in lams for a in x.group_range(lam)]
-    return orbits(lams, lambda lam: map(
-        x.group_of.__getitem__, map(x.op[x.identity_of(lam)].__getitem__, gens)))
+    read = _reader([a for lam in lams for a in x.group_range(lam)])
+    return orbits(lams, lambda lam: map(x.group_of.__getitem__, read(x.op[x.identity_of(lam)])))
 
 
 def is_sub_mcq(x: MCQ, subset: Iterable[int]) -> bool:
@@ -377,11 +371,8 @@ def maximal_mcq_decomposition(x: MCQ) -> McqDecomposition:
     are maximal connected substructures, with no proper subgroup surviving at
     the fixed point.
     """
-    start = Partition([range(x.group_count)])
-    tree = iterate_refinement(start, lambda block: lambda_orbits(x, block))
-    carrier = Partition(
-        [i for lam in block for i in x.group_range(lam)] for block in tree.final
-    )
+    tree = iterate_refinement(_whole(x.group_count), lambda block: lambda_orbits(x, block))
+    carrier = Partition([i for lam in block for i in x.group_range(lam)] for block in tree.final)
     return McqDecomposition(tree, carrier)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -62,6 +64,11 @@ class Partition(tuple):
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self]
+
+
+def _whole(n: int) -> Partition:
+    """Partition([range(n)]) for n >= 1, level 0 of every tower, without the canonical sort."""
+    return tuple.__new__(Partition, (tuple(range(n)),))
 
 
 class _Table:
@@ -318,34 +325,35 @@ def type_of(q: FiniteQuandle) -> int:
     return functools.reduce(math.lcm, (len(w) for col in zip(*q.table) for w in _walks(col)), 1)
 
 
+def _reach(reached: set, fresh: Iterable[int], step: Callable[[set], set]) -> set:
+    """Grows reached in place, round by round, and returns it: a round adds
+    fresh, and the set step(fresh) of its images, less reached, is the next."""
+    fresh = set(fresh) - reached
+    while fresh:
+        reached |= fresh
+        fresh = step(fresh) - reached
+    return reached
+
+
 def orbits(domain: Iterable[int], moves: Callable[[int], Iterable[int]]) -> Partition:
     """Orbits of a finite domain under maps that each permute it.
 
     `moves(x)` gives the image of x under every map.  Only these forward
     images are followed: a permutation of a finite set has its inverse among
-    its powers, so the forward closure of a point is its whole orbit.  An
-    image outside the domain raises NotASubquandle; two overlapping forward
+    its powers, so the forward closure of a point is its whole orbit.  One
+    that leaves the domain raises NotASubquandle; two overlapping forward
     closures prove that some map is not a bijection and raise InvalidTable.
     """
     members = sorted(set(domain))
     if not members:
         raise ValueError("the domain must be non-empty")
-    inside = set(members)
-    seen = set()
-    blocks = []
+    inside, seen, blocks = set(members), set(), []
     for seed in members:
         if seed in seen:
             continue
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            images = set(moves(x))
-            if not images <= inside:
-                raise NotASubquandle(f"a move of {x} leaves the subset")
-            fresh = images - block
-            block |= fresh
-            frontier.extend(fresh)
+        block = _reach(set(), (seed,), lambda fresh: set(chain.from_iterable(map(moves, fresh))))
+        if not block <= inside:
+            raise NotASubquandle(f"the orbit of {seed} leaves the subset")
         if not seen.isdisjoint(block):
             raise InvalidTable("right translations are not bijections")
         seen |= block
@@ -358,19 +366,20 @@ def closure(seeds: Iterable[int], products: Callable[[int, int], Iterable[int]])
 
     `products` is called once per unordered pair of members (a == b
     included), so it must give the products of both orders: O(|closure|^2)
-    calls.  A generating set comes cheaper from action_generators.
+    calls, each fresh member of a round with every member up to it in the
+    order reached.  A generating set comes cheaper from action_generators.
     """
-    members = sorted(set(seeds))
-    if not members:
+    order = []  # the members in the order reached
+
+    def up_to(a):
+        order.append(a)
+        return order
+
+    reached = _reach(set(), seeds,
+                     lambda fresh: {y for a in fresh for b in up_to(a) for y in products(a, b)})
+    if not reached:
         raise ValueError("generating set must be non-empty")
-    memberset = set(members)
-    for done, a in enumerate(members):  # the loop reaches the members it appends
-        for b in members[:done + 1]:
-            for y in products(a, b):
-                if y not in memberset:
-                    memberset.add(y)
-                    members.append(y)
-    return frozenset(memberset)
+    return frozenset(reached)
 
 
 def action_generators(elements: Iterable[int], start: Iterable[int],
@@ -391,16 +400,12 @@ def action_generators(elements: Iterable[int], start: Iterable[int],
     products.  Each element below a pick lies in the span of the earlier
     picks and the start set.
     """
-    span = set(start)
-    picks = []
+    span, picks = set(start), []
     for x in elements:
-        if x in span:
-            continue
-        picks.append(x)
-        fresh = {x}.union([act(y, x) for y in span]) - span
-        while fresh:
-            span |= fresh
-            fresh = {act(y, p) for y in fresh for p in picks} - span
+        if x not in span:
+            picks.append(x)
+            _reach(span, {x}.union([act(y, x) for y in span]),
+                   lambda fresh: {act(y, p) for y in fresh for p in picks})
     return picks
 
 
@@ -422,8 +427,15 @@ def connected_components(q: FiniteQuandle, ambient: Iterable[int] | None = None)
     """
     if ambient is None:
         return orbits(range(q.size), q.table.__getitem__)
-    amb = sorted(set(ambient))
-    return orbits(amb, lambda x: map(q.table[x].__getitem__, amb))
+    read = _reader(amb := sorted(set(ambient)))
+    return orbits(amb, lambda x: read(q.table[x]))
+
+
+def _reader(row: Sequence[int]):
+    """The tuple of cells[i] for i in row, as itemgetter(*row) reads it for two or more."""
+    if len(row) < 2:
+        return lambda cells: tuple(map(cells.__getitem__, row))
+    return itemgetter(*row)
 
 
 def is_connected(q: FiniteQuandle, ambient: Iterable[int] | None = None) -> bool:

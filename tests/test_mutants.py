@@ -35,6 +35,14 @@ def witness_slice():
         "8c49f64154ca9871c7114e953eda2de3ca9dc2d43516a2803a7112a7f75280b0")
 
 
+def reach_slice():
+    """The first 80 cases of the reach grid (see test_quandle.reach_grid):
+    orbits, closures and greedy picks hashed."""
+    texts = [repr(record) for record in test_quandle.reach_grid(80)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "1f526a801367fda25db8a8bfcc60720d9db771594e8efaebe61b19d2bdf6011c")
+
+
 def no_failures(suite, cases):
     """A seeded slice of a verify suite: it must count no failure."""
     def killer():
@@ -133,7 +141,8 @@ MUTANTS = {
     "mcq-certificate-without-the-identity-column": Mutant(
         mcq, "_holds", "if cols[e] != carrier:", "if False:", identity_that_moves_an_element),
     "mcq-certificate-without-product-equivariance": Mutant(
-        mcq, "_holds", "if op[x.gmul(a, b)] != list(", "if False and op[x.gmul(a, b)] != list(",
+        mcq, "_holds", "if op[grows[a][local[b]]] != list(",
+        "if False and op[grows[a][local[b]]] != list(",
         self_distributive_but_not_equivariant),
     "sub-mcq-without-the-group-products": Mutant(
         mcq, "_sub_mcq_products", "return op[a][b], op[b][a], x.gmul(a, b), x.gmul(b, a)",
@@ -141,6 +150,15 @@ MUTANTS = {
     "orbits-without-the-overlap-check": Mutant(
         quandle, "orbits", "if not seen.isdisjoint(block):", "if False:",
         overlapping_index_orbits),
+    # the reach walk and the three walks that grow their sets through it
+    "reach-after-its-first-round": Mutant(
+        quandle, "_reach", "while fresh:", "if fresh:", reach_slice),
+    "closure-taking-products-in-one-order": Mutant(
+        quandle, "closure", "for y in products(a, b)", "for y in products(a, b)[::2]",
+        reach_slice),
+    "orbits-following-one-move-per-point": Mutant(
+        quandle, "orbits", "set(chain.from_iterable(map(moves, fresh)))",
+        "{y for x in fresh for y in list(moves(x))[:1]}", reach_slice),
 }
 
 
