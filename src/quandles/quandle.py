@@ -366,8 +366,8 @@ def closure(seeds: Iterable[int], products: Callable[[int, int], Iterable[int]])
 
     `products` is called once per unordered pair of members (a == b
     included), so it must give the products of both orders: O(|closure|^2)
-    calls, each fresh member of a round with every member up to it in the
-    order reached.  A generating set comes cheaper from action_generators.
+    calls: a round pairs each fresh member with every member up to it in
+    the order reached.  A generating set comes cheaper from action_generators.
     """
     order = []  # the members in the order reached
 
