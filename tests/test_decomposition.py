@@ -1,17 +1,32 @@
+import hashlib
 import random
 
+from test_quandle import _idempotent_bijective_table
+
 from quandles import (
+    FiniteGroup,
+    FiniteQuandle,
     Partition,
     alexander_quandle,
+    associated_mcq,
     build,
+    conj_decomposition,
+    conjugation_mcq,
     connected_components,
     dihedral,
+    generated_sub_mcq,
     generated_subquandle,
     is_connected,
+    is_sub_mcq,
     maximal_decomposition,
+    maximal_mcq_decomposition,
     parse_ideal,
+    symmetric_group,
     trivial_quandle,
+    type_of,
 )
+from quandles.verify import (_random_quandle, near_quandle, random_group_table, random_small_mcq,
+                             relabelled_table, small_group_tables)
 
 
 class TestRefineOnce:
@@ -120,3 +135,78 @@ class TestInvariants:
                     closure = generated_subquandle(q, set(block) | {x})
                     assert not is_connected(q, closure)
 
+
+
+def _json_or_refusal(f, *args):
+    """f(*args).to_json(), or the name of the refusal's type."""
+    try:
+        return f(*args).to_json()
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def _product_or_refusal(mul, a, b):
+    """mul(a, b), or the name of the type of what it raised: a ValueError
+    for factors from two groups."""
+    try:
+        return mul(a, b)
+    except Exception as exc:  # any other type shows as a changed record
+        return type(exc).__name__
+
+
+def tower_grid(cases=240):
+    """Seeded records of every tower and of an MCQ's group products.
+    Quandle tables (quandles, near-quandles, idempotent tables with
+    bijective columns and random tables, in turn): the maximal
+    decomposition, or the type of the refusal.  Relabelled groups: the
+    conjugation decomposition.  MCQs (random small ones, whose index orbits
+    may overlap, associated structures and conjugation MCQs, in turn): the
+    maximal decomposition or its refusal, gmul over every pair, ginv of
+    every element, and is_sub_mcq on random subsets, on a group and on a
+    generated substructure."""
+    rng = random.Random(4141)
+    small = small_group_tables()
+    for i in range(cases):
+        shape, n = i % 4, rng.randint(1, 8)
+        if shape == 0:
+            q = _random_quandle(rng, max_size=24)
+        elif shape == 1:
+            q = near_quandle(rng, _random_quandle(rng, max_size=16))
+        elif shape == 2:
+            q = FiniteQuandle(_idempotent_bijective_table(rng, n))
+        else:
+            q = FiniteQuandle([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        yield "quandle", _json_or_refusal(maximal_decomposition, q)
+        g = FiniteGroup(relabelled_table(rng, random_group_table(rng, small) if i % 2 else
+                                         symmetric_group(rng.randint(1, 4)).mult))
+        yield "group", conj_decomposition(g).to_json()
+        shape = i % 3
+        if shape == 0:
+            x = random_small_mcq(rng)
+        elif shape == 1:
+            q = _random_quandle(rng, max_size=8)
+            x = associated_mcq(q) if type_of(q) * q.size <= 48 else conjugation_mcq(g)
+        else:
+            x = conjugation_mcq(g)
+        carrier = range(x.size)
+        subsets = [rng.sample(carrier, rng.randint(1, x.size)) for _ in range(3)]
+        subsets += [x.group_range(rng.randrange(x.group_count)),
+                    generated_sub_mcq(x, rng.sample(carrier, 1))]
+        yield ("mcq", _json_or_refusal(maximal_mcq_decomposition, x),
+               [_product_or_refusal(x.gmul, a, b) for a in carrier for b in carrier],
+               list(map(x.ginv, carrier)), [is_sub_mcq(x, s) for s in subsets])
+
+
+class TestTowerGrid:
+    def test_the_tower_grid_hashes_as_pinned(self):
+        # any change to a tower, a refusal, a group product or a substructure verdict shows here
+        records = list(tower_grid())
+        texts = list(map(repr, records))
+        kinds = {(r[0], r[1] if isinstance(r[1], str) else "tower") for r in records}
+        assert kinds >= {("quandle", "tower"), ("quandle", "InvalidTable"), ("group", "tower"),
+                         ("mcq", "tower"), ("mcq", "InvalidTable")}
+        products = {p for r in records if r[0] == "mcq" for p in r[2]}
+        assert "ValueError" in products and {True, False} <= {v for r in records
+                                                              if r[0] == "mcq" for v in r[4]}
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "8e2e753a4e0acef241fd8e6a04c2e074ff60ed84fb43ca361c7b405d6b99921d")
