@@ -59,7 +59,7 @@ def alexander_decomposition(module: FiniteTModule) -> Decomposition:
     table.  Each coset is one translate of the columns of I_k, so the cost
     is O(rank * order * (depth + 2)) C-level steps.
     """
-    return _tower(_whole(module.order), _image_step(module))
+    return _tower(module.order, _image_step(module))
 
 
 def alexander_components(module: FiniteTModule) -> Partition:

@@ -180,18 +180,23 @@ def _cmd_axioms(args):
     return EXIT_AXIOMS
 
 
+def _engines(src):
+    """The (components, tower) engines of a resolved source, read from this
+    module's names at call time."""
+    if isinstance(src, MCQ):
+        return lambda_orbits, maximal_mcq_decomposition
+    if isinstance(src, FiniteTModule):
+        return alexander_components, alexander_decomposition
+    if isinstance(src, FiniteGroup):
+        return conj_components, conj_decomposition
+    return connected_components, maximal_decomposition
+
+
 def _cmd_components(args):
     # with --assoc, the index orbits of the associated structure are the
     # quandle's components (see mcq.associated_decomposition)
     src = _resolve_sources(args)[0]
-    if isinstance(src, MCQ):
-        part = lambda_orbits(src)
-    elif isinstance(src, FiniteTModule):
-        part = alexander_components(src)
-    elif isinstance(src, FiniteGroup):
-        part = conj_components(src)
-    else:
-        part = connected_components(src)
+    part = _engines(src)[0](src)
     if isinstance(src, MCQ) or args.assoc:
         header = f"{len(part)} index orbit(s):"
         text = lambda: _blocks_text(str, part, header)
@@ -204,14 +209,7 @@ def _cmd_components(args):
 
 def _cmd_maxdecomp(args):
     src = _resolve_sources(args)[0]
-    if isinstance(src, MCQ):
-        dec = maximal_mcq_decomposition(src)
-    elif isinstance(src, FiniteTModule):
-        dec = alexander_decomposition(src)
-    elif isinstance(src, FiniteGroup):
-        dec = conj_decomposition(src)
-    else:
-        dec = maximal_decomposition(src)
+    dec = _engines(src)[1](src)
     label = lambda: _labeler(src)
     if args.assoc and not isinstance(src, MCQ):
         m = src.t_order if isinstance(src, FiniteTModule) else type_of(_quandle(src))

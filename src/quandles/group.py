@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 
 from .decomposition import Decomposition, iterate_refinement
 from .quandle import (AxiomViolation, FiniteQuandle, Partition, _first_failure, _Table, _reader,
-                      _walks, _whole, action_generators, orbits, read_table)
+                      _walks, action_generators, orbits, read_table)
 
 
 class FiniteGroup(_Table):
@@ -251,7 +251,6 @@ def conj_components(g: FiniteGroup, ambient: Iterable[int] | None = None) -> Par
 
 def conj_decomposition(g: FiniteGroup) -> Decomposition:
     """maximal_decomposition(conj_quandle(g)) from the multiplication rows,
-    each block refined by conj_components, the whole group by its group
-    picks; the components, levels[1], are the conjugacy classes."""
-    return iterate_refinement(_whole(g.size), lambda block: conj_components(
-        g, None if len(block) == g.size else block))
+    each block refined by conj_components: level 1, the conjugacy classes,
+    by its group picks, every later block by its own block picks."""
+    return iterate_refinement(g.size, lambda block: conj_components(g, block))

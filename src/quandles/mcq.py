@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Sequence
 from .decomposition import Decomposition, iterate_refinement
 from .group import FiniteGroup, conj_quandle, cyclic_group
 from .quandle import (AxiomViolation, FiniteQuandle, Partition, _distributes, _first_failure,
-                      _reader, _Table, _whole, action_generators, check_axioms, closure, orbits,
-                      read_table, type_of)
+                      _reader, _Table, action_generators, check_axioms, closure, orbits, read_table,
+                      type_of)
 
 
 class MCQ(_Table):
@@ -30,10 +30,14 @@ class MCQ(_Table):
 
     Carrier indices run over the groups in order; group_of maps a carrier
     index to its group index, and identity_of gives each group's identity as
-    a carrier index.  Immutable after construction.
+    a carrier index.  The group products and inverses are kept in carrier
+    indices, built once with the structure: gmul(a, b) == _grows[a][_local[b]],
+    _local[b] being b's index in its group, and ginv(a) == _inv[a].
+    Immutable after construction.
     """
 
-    __slots__ = ("groups", "op", "offsets", "group_of", "labels", "size")
+    __slots__ = ("groups", "op", "offsets", "group_of", "labels", "size",
+                 "_local", "_grows", "_inv")
 
     def __init__(self, groups: Iterable[FiniteGroup], op, labels=None):
         groups = tuple(groups)
@@ -43,14 +47,18 @@ class MCQ(_Table):
 
     def _fill(self, groups, rows, labels=None) -> None:
         self.groups = groups = tuple(groups)
-        offsets = [0]
-        group_of = []
+        offsets, group_of, local, grows, inv = [0], [], [], [], []
         for lam, g in enumerate(groups):
-            offsets.append(offsets[-1] + g.size)
-            group_of.extend([lam] * g.size)
+            off = offsets[-1]
+            offsets.append(off + g.size)
+            group_of += [lam] * g.size
+            local += range(g.size)
+            grows += [[off + v for v in row] for row in g.mult]
+            inv += [off + v for v in g.inv]
         self.offsets = tuple(offsets)
         self.size = offsets[-1]
         self.group_of = tuple(group_of)
+        self._local, self._grows, self._inv = local, grows, inv
         self.op = tuple(rows)
         self.labels = tuple(labels) if labels is not None else None
 
@@ -65,16 +73,12 @@ class MCQ(_Table):
         return self.offsets[lam] + self.groups[lam].identity
 
     def gmul(self, a: int, b: int) -> int:
-        lam = self.group_of[a]
-        if self.group_of[b] != lam:
+        if self.group_of[a] != self.group_of[b]:
             raise ValueError("group product needs both factors in one group")
-        off = self.offsets[lam]
-        return off + self.groups[lam].mult[a - off][b - off]
+        return self._grows[a][self._local[b]]
 
     def ginv(self, a: int) -> int:
-        lam = self.group_of[a]
-        off = self.offsets[lam]
-        return off + self.groups[lam].inv[a - off]
+        return self._inv[a]
 
     def to_json(self) -> dict:
         data = {"groups": [g.to_json() for g in self.groups],
@@ -144,7 +148,7 @@ def _holds(x: MCQ) -> bool:
     cols = [list(col) for col in zip(*op)]
     group_of = list(x.group_of)
     carrier = list(range(x.size))
-    local, grows, inv = _group_rows(x)
+    local, grows, inv = x._local, x._grows, x._inv
     gammas = []  # the union of the Gamma_lam
     for lam in range(x.group_count):
         span = x.group_range(lam)
@@ -178,20 +182,8 @@ def _holds(x: MCQ) -> bool:
     return _distributes(cols, action_generators(carrier, (), act), gammas)
 
 
-def _group_rows(x: MCQ) -> tuple[list[int], list[list[int]], list[int]]:
-    """The group products and inverses in carrier indices: gmul(a, b) ==
-    grows[a][local[b]], local[b] being b's index in its group, and
-    ginv(a) == inv[a]."""
-    local = [i - x.offsets[lam] for i, lam in enumerate(x.group_of)]
-    grows = [[x.offsets[lam] + v for v in x.groups[lam].mult[local[a]]]
-             for a, lam in enumerate(x.group_of)]
-    inv = [x.offsets[lam] + v for lam, g in enumerate(x.groups) for v in g.inv]
-    return local, grows, inv
-
-
 def _first_violation(x: MCQ) -> Optional[AxiomViolation]:
-    op, group_of = x.op, x.group_of
-    local, grows, inv = _group_rows(x)
+    op, group_of, local, grows, inv = x.op, x.group_of, x._local, x._grows, x._inv
     identities = list(map(x.identity_of, range(x.group_count)))
     # the pairs (a, b) of one group, group by group, with their product a b
     pairs = [(a, b, grows[a][local[b]]) for span in map(x.group_range, range(x.group_count))
@@ -340,12 +332,12 @@ def generated_sub_mcq(x: MCQ, seeds: Iterable[int]) -> frozenset[int]:
 
 
 def _sub_mcq_products(x: MCQ):
-    op, group_of = x.op, x.group_of
+    op, group_of, local, grows = x.op, x.group_of, x._local, x._grows
 
     def products(a, b):
         if group_of[a] != group_of[b]:
             return op[a][b], op[b][a]
-        return op[a][b], op[b][a], x.gmul(a, b), x.gmul(b, a)
+        return op[a][b], op[b][a], grows[a][local[b]], grows[b][local[a]]
 
     return products
 
@@ -371,7 +363,7 @@ def maximal_mcq_decomposition(x: MCQ) -> McqDecomposition:
     are maximal connected substructures, with no proper subgroup surviving at
     the fixed point.
     """
-    tree = iterate_refinement(_whole(x.group_count), lambda block: lambda_orbits(x, block))
+    tree = iterate_refinement(x.group_count, lambda block: lambda_orbits(x, block))
     carrier = Partition([i for lam in block for i in x.group_range(lam)] for block in tree.final)
     return McqDecomposition(tree, carrier)
 

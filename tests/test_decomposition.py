@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import pytest
 from test_quandle import _idempotent_bijective_table
 
 from quandles import (
@@ -10,6 +11,7 @@ from quandles import (
     alexander_quandle,
     associated_mcq,
     build,
+    conj_quandle,
     conj_decomposition,
     conjugation_mcq,
     connected_components,
@@ -25,6 +27,7 @@ from quandles import (
     trivial_quandle,
     type_of,
 )
+from quandles import decomposition, group, mcq
 from quandles.verify import (_random_quandle, near_quandle, random_group_table, random_small_mcq,
                              relabelled_table, small_group_tables)
 
@@ -64,6 +67,32 @@ class TestMaximalDecomposition:
         assert maximal_decomposition(dihedral(3).quandle).depth == 0
         assert maximal_decomposition(dihedral(6).quandle).depth == 1
         assert maximal_decomposition(dihedral(12).quandle).depth == 2
+
+
+class TestWholeSetPath:
+    # level 1 of every tower is its engine's whole-set path, called once;
+    # every later round refines block by block
+    @pytest.mark.parametrize("module,engine,tower,build", [
+        (decomposition, "connected_components", maximal_decomposition,
+         lambda: conj_quandle(symmetric_group(4))),
+        (group, "conj_components", conj_decomposition, lambda: symmetric_group(4)),
+        (mcq, "lambda_orbits", maximal_mcq_decomposition,
+         lambda: associated_mcq(conj_quandle(symmetric_group(3)))),
+    ], ids=["quandle", "group", "mcq"])
+    def test_the_whole_set_path_runs_once_at_level_one(self, monkeypatch, module, engine, tower,
+                                                        build):
+        calls, components = [], getattr(module, engine)
+
+        def recorder(structure, ambient=None):
+            calls.append(ambient)
+            return components(structure, ambient)
+
+        monkeypatch.setattr(module, engine, recorder)
+        dec = tower(build())
+        levels = getattr(dec, "index_tree", dec).levels
+        assert len(levels) >= 4  # two rounds below level 1
+        assert calls[0] is None and None not in calls[1:]
+        assert calls[1:] == [block for level in levels[1:-1] for block in level]
 
 
 class TestInvariants:

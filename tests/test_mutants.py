@@ -1,13 +1,14 @@
 """Committed mutants: every scan and shortcut keeps a killer that fails on it.
 
-Each registry entry names a function, an exact snippet of its source, the
-snippet's replacement and a killer.  The test checks through
-inspect.getsource that the snippet occurs exactly once, so a refactor that
-moves the code fails here and the entry moves with it; it then compiles the
-mutated function in a copy of its module's namespace, installs it with
-monkeypatch on every package module that binds the function, and asserts
-that the killer fails.  A killer is a committed pin or test, or a short seeded
-slice of a verify suite; each passes unmutated (test_every_killer_passes).
+Each registry entry names a function (or a method, as Class.method), an
+exact snippet of its source, the snippet's replacement and a killer.  The
+test checks through inspect.getsource that the snippet occurs exactly once,
+so a refactor that moves the code fails here and the entry moves with it; it
+then compiles the mutated function in a copy of its module's namespace,
+installs it with monkeypatch where the function is defined and on every
+package or test module that binds it, and asserts that the killer fails.
+A killer is a committed pin or test, or a short seeded slice of a verify
+suite; each passes unmutated (test_every_killer_passes).
 """
 
 import __future__
@@ -21,10 +22,13 @@ from typing import Callable, NamedTuple
 import pytest
 
 import test_alexander
+import test_decomposition
 import test_group
 import test_mcq
 import test_quandle
-from quandles import FiniteGroup, alexander, check_group, decomposition, group, mcq, quandle, verify
+import test_tmodule
+from quandles import (FiniteGroup, alexander, check_group, conj_quandle, connected_components,
+                      decomposition, group, mcq, quandle, symmetric_group, tmodule, verify)
 
 
 def witness_slice():
@@ -41,6 +45,14 @@ def reach_slice():
     texts = [repr(record) for record in test_quandle.reach_grid(80)]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "1f526a801367fda25db8a8bfcc60720d9db771594e8efaebe61b19d2bdf6011c")
+
+
+def tower_slice():
+    """The first 30 cases of the tower grid (see test_decomposition.tower_grid):
+    towers, group products and substructure verdicts hashed."""
+    texts = [repr(record) for record in test_decomposition.tower_grid(30)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "8ee5a34d695edb944476432e48a411743611d37b7327599598b2f94ba459bbe4")
 
 
 def no_failures(suite, cases):
@@ -82,6 +94,21 @@ def non_idempotent_singleton():
 
 def sixty_four_dihedral():
     test_alexander.TestAlexanderDecomposition().test_sixty_four_dihedral()
+
+
+def non_invertible_action():
+    test_tmodule.TestInverseAction().test_a_non_invertible_action_is_refused()
+
+
+def seeded_inverse_actions():
+    test_tmodule.TestInverseAction().test_seeded_modules_match_the_search()
+
+
+def transposition_block():
+    """The committed witness of the block picks (the conj-block case of
+    test_quandle's first-pick mutants): the transpositions of S3."""
+    g, block = symmetric_group(3), test_quandle._TRANSPOSITIONS
+    assert group.conj_components(g, block) == connected_components(conj_quandle(g), block)
 
 
 class Mutant(NamedTuple):
@@ -145,8 +172,23 @@ MUTANTS = {
         "if False and op[grows[a][local[b]]] != list(",
         self_distributive_but_not_equivariant),
     "sub-mcq-without-the-group-products": Mutant(
-        mcq, "_sub_mcq_products", "return op[a][b], op[b][a], x.gmul(a, b), x.gmul(b, a)",
+        mcq, "_sub_mcq_products",
+        "return op[a][b], op[b][a], grows[a][local[b]], grows[b][local[a]]",
         "return op[a][b], op[b][a]", non_idempotent_singleton),
+    "group-product-across-two-groups": Mutant(
+        mcq, "MCQ.gmul", "if self.group_of[a] != self.group_of[b]:", "if False:", tower_slice),
+    "conj-block-from-its-first-pick": Mutant(
+        group, "conj_components", "lambda x, p: m[m[inv[p]][x]][p])",
+        "lambda x, p: m[m[inv[p]][x]][p])[:1]",
+        transposition_block),
+    # the inverse action read off one Smith form
+    "inverse-action-without-its-refusal": Mutant(
+        tmodule, "_invert_action", "if any(d[i][i] != 1 for i in range(r)):", "if False:",
+        non_invertible_action),
+    "inverse-action-without-its-final-row-reduction": Mutant(
+        tmodule, "_invert_action",
+        "inv = _row_reduce(mat_mul(_row_reduce([row[:r] for row in v[:r]], mods), u), mods)",
+        "inv = mat_mul(_row_reduce([row[:r] for row in v[:r]], mods), u)", seeded_inverse_actions),
     "orbits-without-the-overlap-check": Mutant(
         quandle, "orbits", "if not seen.isdisjoint(block):", "if False:",
         overlapping_index_orbits),
@@ -162,27 +204,41 @@ MUTANTS = {
 }
 
 
+def site(entry: Mutant):
+    """(owner, name): the module and the function's name, or the class and
+    the method's name for a Class.method entry."""
+    *outer, name = entry.function.split(".")
+    owner = entry.module
+    for part in outer:
+        owner = getattr(owner, part)
+    return owner, name
+
+
 def mutated(entry: Mutant):
     """The function of the entry with its snippet replaced, compiled in a
     copy of its module's namespace."""
-    source = textwrap.dedent(inspect.getsource(getattr(entry.module, entry.function)))
+    owner, name = site(entry)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(entry.snippet) == 1, entry.snippet
     code = compile(source.replace(entry.snippet, entry.replacement), f"<mutant {entry.function}>",
                    "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
     namespace = dict(vars(entry.module))
     exec(code, namespace)
-    return namespace[entry.function]
+    return namespace[name]
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_each_mutant_is_killed(name, monkeypatch):
     entry = MUTANTS[name]
-    original, mutant = getattr(entry.module, entry.function), mutated(entry)
-    # every package module that binds the function, by import or as its home
-    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "quandles"]:
-        for attr, value in list(vars(module).items()):
+    (owner, attr), mutant = site(entry), mutated(entry)
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, mutant)
+    # every package or test module that binds the function by import
+    for module in [m for key, m in list(sys.modules.items())
+                   if key.split(".")[0] == "quandles" or key.startswith("test_")]:
+        for binding, value in list(vars(module).items()):
             if value is original:
-                monkeypatch.setattr(module, attr, mutant)
+                monkeypatch.setattr(module, binding, mutant)
     # a failed assertion, an exception, or a committed test's own failure
     with pytest.raises((Exception, pytest.fail.Exception)):
         entry.killer()
