@@ -182,7 +182,7 @@ def _cmd_axioms(args):
 
 def _engines(src):
     """The (components, tower) engines of a resolved source, read from this
-    module's names at call time."""
+    module's names at call time, where perfbench/spans.py wraps them."""
     if isinstance(src, MCQ):
         return lambda_orbits, maximal_mcq_decomposition
     if isinstance(src, FiniteTModule):

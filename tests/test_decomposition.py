@@ -11,8 +11,8 @@ from quandles import (
     alexander_quandle,
     associated_mcq,
     build,
-    conj_quandle,
     conj_decomposition,
+    conj_quandle,
     conjugation_mcq,
     connected_components,
     dihedral,
@@ -72,7 +72,7 @@ class TestMaximalDecomposition:
 class TestWholeSetPath:
     # level 1 of every tower is its engine's whole-set path, called once;
     # every later round refines block by block
-    @pytest.mark.parametrize("module,engine,tower,build", [
+    @pytest.mark.parametrize("module,engine,tower,make", [
         (decomposition, "connected_components", maximal_decomposition,
          lambda: conj_quandle(symmetric_group(4))),
         (group, "conj_components", conj_decomposition, lambda: symmetric_group(4)),
@@ -80,7 +80,7 @@ class TestWholeSetPath:
          lambda: associated_mcq(conj_quandle(symmetric_group(3)))),
     ], ids=["quandle", "group", "mcq"])
     def test_the_whole_set_path_runs_once_at_level_one(self, monkeypatch, module, engine, tower,
-                                                        build):
+                                                        make):
         calls, components = [], getattr(module, engine)
 
         def recorder(structure, ambient=None):
@@ -88,7 +88,7 @@ class TestWholeSetPath:
             return components(structure, ambient)
 
         monkeypatch.setattr(module, engine, recorder)
-        dec = tower(build())
+        dec = tower(make())
         levels = getattr(dec, "index_tree", dec).levels
         assert len(levels) >= 4  # two rounds below level 1
         assert calls[0] is None and None not in calls[1:]
@@ -163,7 +163,6 @@ class TestInvariants:
                 for x in sorted(component - set(block)):
                     closure = generated_subquandle(q, set(block) | {x})
                     assert not is_connected(q, closure)
-
 
 
 def _json_or_refusal(f, *args):

@@ -179,8 +179,7 @@ MUTANTS = {
         mcq, "MCQ.gmul", "if self.group_of[a] != self.group_of[b]:", "if False:", tower_slice),
     "conj-block-from-its-first-pick": Mutant(
         group, "conj_components", "lambda x, p: m[m[inv[p]][x]][p])",
-        "lambda x, p: m[m[inv[p]][x]][p])[:1]",
-        transposition_block),
+        "lambda x, p: m[m[inv[p]][x]][p])[:1]", transposition_block),
     # the inverse action read off one Smith form
     "inverse-action-without-its-refusal": Mutant(
         tmodule, "_invert_action", "if any(d[i][i] != 1 for i in range(r)):", "if False:",
